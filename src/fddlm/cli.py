@@ -71,6 +71,12 @@ def load_config(path=None, overrides=None):
         for k, v in overrides.items():
             if v is not None:
                 setattr(cfg, k, v)
+    for name, f in RunConfig.__dataclass_fields__.items():
+        value = getattr(cfg, name)
+        # JSON has one number type, so a float field takes ints too
+        types = (int, float) if f.type is float else f.type
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ConfigError(f"{name} must be of type {f.type.__name__}, got {value!r}")
     if cfg.example not in problems.EXAMPLES:
         raise ConfigError(f"example must be one of {sorted(problems.EXAMPLES)}")
     if cfg.case not in problems.CASES:

@@ -1,23 +1,24 @@
 """Coupling between the background and immersed spaces.
 
 The multiplier pairing restricted to the background space needs integrals
-of background basis functions over immersed cells. Each immersed cell is
-clipped against the background cells it overlaps (exact convex polygon
-intersection), the pieces are fan-triangulated, and a symmetric triangle
-rule of degree >= 4 is mapped to every triangle. No quadrature on cut
-cells is approximated by sampling; the clipped geometry is exact up to
-floating point rounding.
+of background basis functions over immersed cells. The background mesh
+must be a uniform axis-aligned grid (others are rejected with ValueError),
+so the background cells an immersed cell may overlap follow by index
+arithmetic from its bounding box. The cell is clipped against each of
+them (exact convex polygon intersection), the pieces are fan-triangulated
+and a symmetric degree-4 triangle rule is mapped to every triangle. The
+background cell maps are affine, so C1 is built in one vectorized pass
+over all quadrature points. No quadrature on cut cells is approximated by
+sampling; the clipped geometry is exact up to floating point rounding.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .geometry import clip_convex, fan_triangulate, signed_area, triangle_areas
-from .mesh import CellLocator
+from .geometry import clip_convex, fan_triangulate, triangle_areas
 
 __all__ = [
-    "Fragment",
     "CouplingTable",
     "CoverageError",
     "build_intersections",
@@ -25,89 +26,91 @@ __all__ = [
     "assemble_C2",
 ]
 
+# degree 4 keeps products of a biquadratic background basis with the
+# constant multiplier exact on straight background cells
+_TRI_DEGREE = 4
+_COVERAGE_RTOL = 1e-10
+# grid tolerance relative to the coordinate scale: refined grids are
+# uniform only up to rounding, and bounding boxes are padded by the same
+# amount so that a cell touched within rounding is still a candidate
+_GRID_RTOL = 1e-9
+
 
 class CoverageError(RuntimeError):
     """Raised when an immersed cell is not fully covered by the background mesh."""
 
 
-class Fragment:
-    """One clipped piece: immersed cell x background cell.
+class CouplingTable:
+    """Clipped pieces (fragments) of immersed cells against background cells.
 
-    Attributes
-    ----------
-    bg_cell : int
-    polygon : (k, 2) ndarray, counterclockwise
-    points, weights : physical quadrature on the piece; weights sum to
-        the piece area.
+    Fragment k is the intersection of immersed cell ``cell[k]`` with
+    background cell ``bg_cell[k]``. Fragments are ordered by immersed
+    cell, then by background cell index (deterministic). The quadrature
+    of fragment k is ``points[ptr[k]:ptr[k + 1]]`` with the matching
+    ``weights``, which sum to the fragment area.
     """
 
-    __slots__ = ("bg_cell", "polygon", "points", "weights")
-
-    def __init__(self, bg_cell, polygon, points, weights):
+    def __init__(self, t2, t, cell, bg_cell, ptr, points, weights):
+        self.t2 = t2
+        self.t = t
+        self.cell = cell
         self.bg_cell = bg_cell
-        self.polygon = polygon
+        self.ptr = ptr
         self.points = points
         self.weights = weights
 
     @property
-    def area(self):
-        return float(np.sum(self.weights))
-
-
-class CouplingTable:
-    """Intersection fragments per immersed cell.
-
-    fragments[i] lists the Fragment objects of immersed cell i, ordered
-    by background cell index (deterministic).
-    """
-
-    def __init__(self, t2, t, fragments, tri_degree):
-        self.t2 = t2
-        self.t = t
-        self.fragments = fragments
-        self.tri_degree = tri_degree
-
-    @property
     def num_fragments(self):
-        return sum(len(f) for f in self.fragments)
+        return self.cell.size
 
     def __repr__(self):
-        return (
-            f"CouplingTable(cells={len(self.fragments)}, "
-            f"fragments={self.num_fragments}, tri_degree={self.tri_degree})"
-        )
+        return f"CouplingTable(cells={self.t2.num_cells}, fragments={self.num_fragments})"
 
 
-def _triangle_quadrature(polygon, rule):
-    """Map a reference triangle rule onto the fan triangles of a polygon."""
-    tris = fan_triangulate(polygon)
-    areas = triangle_areas(tris)
-    npts = rule.npoints
-    pts = np.empty((tris.shape[0] * npts, 2))
-    wts = np.empty(tris.shape[0] * npts)
-    xh = rule.points[:, 0]
-    yh = rule.points[:, 1]
-    for k in range(tris.shape[0]):
-        a, b, c = tris[k]
-        pts[k * npts : (k + 1) * npts, 0] = a[0] + xh * (b[0] - a[0]) + yh * (c[0] - a[0])
-        pts[k * npts : (k + 1) * npts, 1] = a[1] + xh * (b[1] - a[1]) + yh * (c[1] - a[1])
-        # reference measure is 1/2, so the affine scale factor is 2*area
-        wts[k * npts : (k + 1) * npts] = rule.weights * (2.0 * areas[k])
-    return pts, wts
+def _grid(t):
+    """Origin, spacing, tolerance and (row, col) -> cell table of a grid.
+
+    Raises ValueError unless the cells tile a rectangle in rows and
+    columns of one extent, corners counterclockwise from the lower left.
+    """
+    X = t.nodes[t.cells]
+    lo = X[:, 0]
+    h = (X[:, 2] - lo).mean(axis=0)
+    tol = _GRID_RTOL * (np.abs(X).max() + h.max())
+    if h.min() > 0:
+        origin = lo.min(axis=0)
+        ij = np.rint((lo - origin) / h).astype(np.int64)
+        shape = ij.max(axis=0) + 1
+        ideal = origin + (ij[:, None] + [[0, 0], [1, 0], [1, 1], [0, 1]]) * h
+        if np.abs(X - ideal).max() <= tol and shape.prod() == t.num_cells:
+            index = np.full(shape[::-1], -1)
+            index[ij[:, 1], ij[:, 0]] = np.arange(t.num_cells)
+            if index.min() >= 0:
+                return origin, h, tol, index
+    raise ValueError("background mesh is not a uniform axis-aligned grid")
 
 
-def build_intersections(t2, t, tri_degree=4, coverage_rtol=1e-10):
-    """Clip every immersed cell against the background mesh.
+def _triangle_quadrature(tris, rule):
+    """Map a reference triangle rule onto every triangle of an (n, 3, 2) array."""
+    a = tris[:, None, 0]
+    b = tris[:, None, 1]
+    c = tris[:, None, 2]
+    xh = rule.points[:, 0, None]
+    yh = rule.points[:, 1, None]
+    pts = a + xh * (b - a) + yh * (c - a)
+    # reference measure is 1/2, so the affine scale factor is 2*area
+    wts = rule.weights * (2.0 * triangle_areas(tris))[:, None]
+    return pts.reshape(-1, 2), wts.ravel()
+
+
+def build_intersections(t2, t):
+    """Clip every immersed cell against the background grid.
 
     Parameters
     ----------
     t2, t : QuadMesh
-        Immersed and background meshes. Every immersed cell must be
-        covered by the background mesh.
-    tri_degree : int
-        Exactness degree of the per-triangle rule (>= 4 keeps products of
-        a biquadratic background basis with the constant multiplier exact
-        on straight background cells).
+        Immersed and background meshes. The background must be a uniform
+        axis-aligned grid that covers every immersed cell.
 
     Returns
     -------
@@ -115,34 +118,45 @@ def build_intersections(t2, t, tri_degree=4, coverage_rtol=1e-10):
 
     Raises
     ------
+    ValueError
+        When the background mesh is not a uniform axis-aligned grid.
     CoverageError
         When the fragment areas of a cell do not sum to the cell area
-        within ``coverage_rtol`` (relative), naming the offending cell.
+        within a relative 1e-10, naming the offending cell.
     """
-    rule = el.gauss_triangle(tri_degree)
-    locator = CellLocator(t)
-    fragments = []
+    origin, h, tol, index = _grid(t)
+    bg_polys = t.nodes[t.cells]
+    polys = t2.nodes[t2.cells]
+    top = np.array(index.shape[::-1]) - 1
+    first = np.clip(np.floor((polys.min(axis=1) - origin - tol) / h), 0, top).astype(np.int64)
+    last = np.clip(np.floor((polys.max(axis=1) - origin + tol) / h), 0, top).astype(np.int64)
+    cell, bg_cell, tris = [], [], []
     for i in range(t2.num_cells):
-        poly = t2.cell_polygon(i)
-        target = abs(signed_area(poly))
-        xmin, ymin = poly.min(axis=0)
-        xmax, ymax = poly.max(axis=0)
-        pieces = []
-        covered = 0.0
-        for c in locator.candidates(xmin, ymin, xmax, ymax):
-            piece = clip_convex(poly, t.cell_polygon(c))
-            if piece is None:
-                continue
-            pts, wts = _triangle_quadrature(piece, rule)
-            pieces.append(Fragment(c, piece, pts, wts))
-            covered += float(np.sum(wts))
-        if abs(covered - target) > coverage_rtol * target:
-            raise CoverageError(
-                f"immersed cell {i} not covered by the background mesh: "
-                f"fragment area {covered:.15e} vs cell area {target:.15e}"
-            )
-        fragments.append(pieces)
-    return CouplingTable(t2, t, fragments, tri_degree)
+        (c0, r0), (c1, r1) = first[i], last[i]
+        for c in np.sort(index[r0 : r1 + 1, c0 : c1 + 1], axis=None):
+            piece = clip_convex(polys[i], bg_polys[c])
+            if piece is not None:
+                cell.append(i)
+                bg_cell.append(c)
+                tris.append(fan_triangulate(piece))
+    rule = el.gauss_triangle(_TRI_DEGREE)
+    points, weights = _triangle_quadrature(
+        np.concatenate(tris or [np.empty((0, 3, 2))]), rule
+    )
+    ptr = rule.npoints * np.cumsum([0] + [len(x) for x in tris])
+    cell = np.asarray(cell, dtype=np.int64)
+    area = np.add.reduceat(weights, ptr[:-1])
+    covered = np.bincount(cell, weights=area, minlength=t2.num_cells)
+    target = np.abs(t2.cell_areas())
+    bad = np.flatnonzero(np.abs(covered - target) > _COVERAGE_RTOL * target)
+    if bad.size:
+        i = bad[0]
+        raise CoverageError(
+            f"immersed cell {i} not covered by the background mesh: "
+            f"fragment area {covered[i]:.15e} vs cell area {target[i]:.15e}"
+        )
+    bg_cell = np.asarray(bg_cell, dtype=np.int64)
+    return CouplingTable(t2, t, cell, bg_cell, ptr, points, weights)
 
 
 def assemble_C1(table, lambda_space, vh_space):
@@ -150,7 +164,9 @@ def assemble_C1(table, lambda_space, vh_space):
 
     Entry (i, j) = integral over (immersed cell i) of the background
     basis function j, accumulated fragment by fragment. The multiplier is
-    piecewise constant with basis value 1 on its cell.
+    piecewise constant with basis value 1 on its cell. Every quadrature
+    point maps to the reference square of its background cell by the
+    affine map (x - lower left) / extent.
 
     Returns an (m, n) CSR matrix, m = dim(Lambda_h), n = dim(V_h).
     """
@@ -159,20 +175,16 @@ def assemble_C1(table, lambda_space, vh_space):
     if lambda_space.mesh is not table.t2 or vh_space.mesh is not table.t:
         raise ValueError("coupling table does not match the given spaces")
     fam = vh_space.family
-    rows = []
-    cols = []
-    vals = []
-    for i, pieces in enumerate(table.fragments):
-        for frag in pieces:
-            cm = el.CellMap(table.t.cell_polygon(frag.bg_cell))
-            refs = cm.inverse(frag.points)
-            phi = el.basis_matrix(fam, refs)
-            contrib = frag.weights @ phi
-            rows.extend([i] * fam.ndofs)
-            cols.extend(vh_space.dof_map[frag.bg_cell])
-            vals.extend(contrib)
+    X = table.t.nodes[table.t.cells[table.bg_cell]]
+    lo = np.repeat(X[:, 0], np.diff(table.ptr), axis=0)
+    ext = np.repeat(X[:, 2], np.diff(table.ptr), axis=0) - lo
+    phi = el.basis_matrix(fam, (table.points - lo) / ext)
+    phi *= table.weights[:, None]
+    vals = np.add.reduceat(phi, table.ptr[:-1], axis=0)
+    rows = np.repeat(table.cell, fam.ndofs)
+    cols = vh_space.dof_map[table.bg_cell].ravel()
     mat = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(lambda_space.ndofs, vh_space.ndofs)
+        (vals.ravel(), (rows, cols)), shape=(lambda_space.ndofs, vh_space.ndofs)
     )
     return mat.tocsr()
 

@@ -26,8 +26,6 @@ __all__ = [
     "family",
     "basis_matrix",
     "grad_matrix",
-    "eval_basis",
-    "eval_grad",
     "QuadratureRule",
     "gauss_square",
     "gauss_triangle",
@@ -155,17 +153,6 @@ def grad_matrix(fam, pts):
             g[:, k, 1] = lx[:, ix] * dy[:, iy]
         return g
     raise ValueError(f"unhandled family {fam.tag}")
-
-
-def eval_basis(fam, i, p):
-    """Value of basis function i at a single reference point."""
-    return float(basis_matrix(fam, [p])[0, i])
-
-
-def eval_grad(fam, i, p):
-    """Reference gradient of basis function i at a single point."""
-    g = grad_matrix(fam, [p])[0, i]
-    return (float(g[0]), float(g[1]))
 
 
 @dataclass(frozen=True)

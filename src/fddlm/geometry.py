@@ -8,7 +8,6 @@ import numpy as np
 
 __all__ = [
     "signed_area",
-    "centroid",
     "is_ccw_convex",
     "clip_convex",
     "fan_triangulate",
@@ -22,22 +21,6 @@ def signed_area(poly):
     x = p[:, 0]
     y = p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def centroid(poly):
-    """Area centroid of a simple polygon (vertex mean if degenerate)."""
-    p = np.asarray(poly, dtype=float)
-    x = p[:, 0]
-    y = p[:, 1]
-    xn = np.roll(x, -1)
-    yn = np.roll(y, -1)
-    cross = x * yn - xn * y
-    a = 0.5 * np.sum(cross)
-    if abs(a) < 1e-300:
-        return p.mean(axis=0)
-    cx = np.sum((x + xn) * cross) / (6.0 * a)
-    cy = np.sum((y + yn) * cross) / (6.0 * a)
-    return np.array([cx, cy])
 
 
 def is_ccw_convex(poly, tol=1e-12):

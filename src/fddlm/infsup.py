@@ -25,6 +25,7 @@ import scipy.sparse.linalg as spla
 from . import element as el
 from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
+from .runner import ELEMENTS
 from .space import build_space
 from .system import assemble_mass, assemble_stiffness
 
@@ -161,9 +162,6 @@ class InfSupReport:
         return "inconclusive"
 
 
-_V2_FAMILY = {"elm1": el.Q1B, "elm2": el.Q2, "q1q1p0": el.Q1}
-
-
 def infsup_sweep(element, spec, levels):
     """Refinement sweep of the inf-sup estimate on one immersed geometry.
 
@@ -176,13 +174,13 @@ def infsup_sweep(element, spec, levels):
     levels : int
         Number of refinement levels (>= 1).
     """
-    if element not in _V2_FAMILY:
+    if element not in ELEMENTS:
         raise ValueError(
-            f"unknown element tag {element!r}; valid tags: {sorted(_V2_FAMILY)}"
+            f"unknown element tag {element!r}; valid tags: {sorted(ELEMENTS)}"
         )
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    fam = _V2_FAMILY[element]
+    fam = ELEMENTS[element][1]
     report = InfSupReport(element=element, geometry=spec.kind)
     t2 = build_mesh(spec, 0)
     for lvl in range(levels):

@@ -12,19 +12,17 @@ level-0 mesh, so cell children are nested (children of cell c are
 domains are projected onto the exact boundary curve.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .element import CellMap
-from .geometry import signed_area
 
 __all__ = [
     "DomainSpec",
     "QuadMesh",
     "build_mesh",
     "refine_uniform",
-    "cell_polygon",
     "CellLocator",
 ]
 
@@ -139,11 +137,6 @@ class QuadMesh:
             f"QuadMesh({kind}, level={self.level}, cells={self.num_cells}, "
             f"nodes={self.num_nodes}, h={self.h:.4g})"
         )
-
-
-def cell_polygon(mesh, i):
-    """Functional alias for QuadMesh.cell_polygon."""
-    return mesh.cell_polygon(i)
 
 
 def build_mesh(spec, level=0):

@@ -8,7 +8,6 @@ q1/q1b/q2 the dof index of a mesh node equals the node index.
 import numpy as np
 
 from . import element as el
-from .geometry import centroid
 from .mesh import CellLocator
 
 __all__ = [
@@ -70,7 +69,11 @@ def build_space(mesh, fam):
         coords = np.vstack([mesh.nodes, mids, cell_centers])
         return FeSpace(mesh, fam, dof_map, nn + ne + mc, coords)
     if fam.tag == "p0":
-        cents = np.array([centroid(mesh.cell_polygon(i)) for i in range(mc)])
+        # shoelace area centroids
+        p = mesh.nodes[mesh.cells]
+        pn = np.roll(p, -1, axis=1)
+        cross = p[:, :, 0] * pn[:, :, 1] - pn[:, :, 0] * p[:, :, 1]
+        cents = np.einsum("mka,mk->ma", p + pn, cross) / (3.0 * cross.sum(axis=1))[:, None]
         return FeSpace(mesh, fam, np.arange(mc, dtype=np.int64)[:, None], mc, cents)
     raise ValueError(f"unhandled family {fam.tag}")
 
@@ -129,7 +132,6 @@ def evaluate(space, coeffs, pts, locator=None, slack=1e-10):
     if locator is None:
         locator = CellLocator(space.mesh)
     cells, refs = locator.locate(pts, slack=slack)
-    vals = np.empty(cells.shape[0])
     phi = el.basis_matrix(space.family, refs)
     local = coeffs[space.dof_map[cells]]
     vals = np.sum(phi * local, axis=1)

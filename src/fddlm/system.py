@@ -13,7 +13,7 @@ lifting contributions. The matrix is symmetric indefinite and is solved
 by a pivoted direct factorization with one step of iterative refinement.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,7 +23,6 @@ from scipy.linalg import lu_factor, lu_solve
 from . import element as el
 
 __all__ = [
-    "ProblemConfig",
     "BlockSystem",
     "SolutionTriple",
     "SolverError",
@@ -40,20 +39,6 @@ __all__ = [
     "project_p0",
     "multiplier_error",
 ]
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    """Coefficients and loads of one interface problem."""
-
-    beta: float = 1.0
-    beta2: float = 10.0
-    f: object = 1.0
-    f2: object = 1.0
-
-    def __post_init__(self):
-        if self.beta <= 0 or self.beta2 <= 0:
-            raise ValueError("beta and beta2 must be positive")
 
 
 def _cell_geometry(mesh, quad):

@@ -57,9 +57,11 @@ def parse_vtk(path):
 def test_load_config_defaults_file_overrides(tmp_path):
     cfg = load_config()
     assert cfg == RunConfig()
-    path = write_cfg(tmp_path, example=1, levels=3, element="elm2")
+    # a float field takes a JSON integer
+    path = write_cfg(tmp_path, example=1, levels=3, element="elm2", ratio=2)
     cfg = load_config(path, {"output_dir": "res", "threads": 2, "example": None})
     assert cfg.example == 1 and cfg.levels == 3 and cfg.element == "elm2"
+    assert cfg.ratio == 2
     assert cfg.output_dir == "res" and cfg.threads == 2
 
 
@@ -85,6 +87,22 @@ def test_config_validation(tmp_path):
         load_config(str(arr))
     with pytest.raises(ConfigError, match="cannot read"):
         load_config(str(tmp_path / "missing.json"))
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"levels": "4"},
+        {"levels": 3.5},
+        {"base_cells": True},
+        {"ratio": "1.0"},
+        {"element": 2},
+    ],
+    ids=["int_gets_str", "int_gets_float", "int_gets_bool", "float_gets_str", "str_gets_int"],
+)
+def test_config_type_validation(tmp_path, bad):
+    with pytest.raises(ConfigError, match="must be of type"):
+        load_config(write_cfg(tmp_path, **bad))
 
 
 def test_main_bad_config_exit_code(tmp_path, capsys):

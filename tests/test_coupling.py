@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddlm.coupling import (
     CoverageError,
@@ -9,9 +11,9 @@ from fddlm.coupling import (
     assemble_C2,
     build_intersections,
 )
-from fddlm.element import P0, Q1, Q1B, Q2
-from fddlm.geometry import signed_area
-from fddlm.mesh import DomainSpec, build_mesh
+from fddlm.element import P0, Q1, Q1B, Q2, CellMap, basis_matrix
+from fddlm.geometry import clip_convex
+from fddlm.mesh import DomainSpec, QuadMesh, build_mesh
 from fddlm.space import build_space
 
 
@@ -23,15 +25,86 @@ def test_fragments_of_offset_cell():
     t = patch(0, 2, 0, 2, n=2)  # four unit background cells
     t2 = patch(0.25, 1.25, 0.25, 1.25)  # one immersed cell across all four
     table = build_intersections(t2, t)
-    pieces = table.fragments[0]
-    assert [f.bg_cell for f in pieces] == [0, 1, 2, 3]
-    areas = [f.area for f in pieces]
+    assert table.cell.tolist() == [0, 0, 0, 0]
+    assert table.bg_cell.tolist() == [0, 1, 2, 3]
+    areas = np.add.reduceat(table.weights, table.ptr[:-1])
     assert areas == pytest.approx([0.5625, 0.1875, 0.1875, 0.0625], abs=1e-14)
-    for f in pieces:
-        assert f.area == pytest.approx(signed_area(f.polygon), rel=1e-13)
-        assert np.all(f.weights > 0)
+    assert np.all(table.weights > 0)
     assert table.num_fragments == 4
-    assert table.tri_degree == 4
+
+
+@pytest.mark.parametrize("fam", [Q1, Q2])
+def test_c1_matches_per_fragment_newton_oracle(fam):
+    # the per-fragment path: Newton inverse of the bilinear background
+    # cell map, basis values and weights, one fragment at a time
+    t = build_mesh(DomainSpec("rectangle", bounds=(-1.3, 1.4, -1.35, 1.3), base_cells=8), 1)
+    t2 = build_mesh(DomainSpec("flower", base_cells=3), 1)
+    table = build_intersections(t2, t)
+    lh = build_space(t2, P0)
+    vh = build_space(t, fam)
+    oracle = np.zeros((lh.ndofs, vh.ndofs))
+    for k in range(table.num_fragments):
+        q = slice(table.ptr[k], table.ptr[k + 1])
+        c = table.bg_cell[k]
+        refs = CellMap(t.nodes[t.cells[c]]).inverse(table.points[q])
+        oracle[table.cell[k], vh.dof_map[c]] += table.weights[q] @ basis_matrix(fam, refs)
+    C1 = assemble_C1(table, lh, vh).toarray()
+    assert np.abs(C1 - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    origin=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+    width=st.floats(0.1, 20),
+    aspect=st.floats(0.5, 2),
+    base=st.integers(1, 3),
+    level=st.integers(0, 2),
+    corner=st.tuples(st.integers(0, 11), st.floats(0, 1), st.integers(0, 11), st.floats(0, 1)),
+    size=st.tuples(st.floats(0.5, 3), st.floats(0.5, 3)),
+    n=st.integers(1, 2),
+)
+def test_pairs_match_brute_force_clipping(origin, width, aspect, base, level, corner, size, n):
+    # immersed patch corners land on grid lines (fraction 0) or anywhere
+    # between them, so the index arithmetic is probed at cell boundaries;
+    # the origin scales with the box, because the shoelace cell areas the
+    # coverage check compares against lose digits far from the origin
+    x0, y0 = origin[0] * width, origin[1] * width
+    t = build_mesh(
+        DomainSpec("rectangle", bounds=(x0, x0 + width, y0, y0 + aspect * width), base_cells=base),
+        level,
+    )
+    x1 = t.nodes[:, 0].max()
+    y1 = t.nodes[:, 1].max()
+    ncol = base * 2**level
+    nrow = t.num_cells // ncol
+    hx = (x1 - x0) / ncol
+    hy = (y1 - y0) / nrow
+    w2 = min(hx * size[0], x1 - x0)
+    h2 = min(hy * size[1], y1 - y0)
+    i, fx, j, fy = corner
+    px = min(x0 + hx * (i % ncol + fx), x1 - w2)
+    py = min(y0 + hy * (j % nrow + fy), y1 - h2)
+    t2 = patch(px, px + w2, py, py + h2, n)
+    table = build_intersections(t2, t)
+    pairs = list(zip(table.cell.tolist(), table.bg_cell.tolist()))
+    brute = [
+        (a, b)
+        for a in range(t2.num_cells)
+        for b in range(t.num_cells)
+        if clip_convex(t2.nodes[t2.cells[a]], t.nodes[t.cells[b]]) is not None
+    ]
+    assert pairs == brute
+
+
+def test_non_grid_background_rejected():
+    t2 = patch(-0.2, 0.2, -0.2, 0.2)
+    disk = build_mesh(DomainSpec("disk", base_cells=2))
+    grid = build_mesh(DomainSpec("rectangle", bounds=(-1, 1, -1, 1), base_cells=4))
+    sheared = QuadMesh(grid.nodes + np.outer(grid.nodes[:, 1], [0.1, 0.0]), grid.cells)
+    graded = QuadMesh(np.sign(grid.nodes) * grid.nodes**2, grid.cells)
+    for t in (disk, sheared, graded):
+        with pytest.raises(ValueError, match="uniform axis-aligned grid"):
+            build_intersections(t2, t)
 
 
 def test_coverage_error_names_cell():
@@ -126,7 +199,8 @@ def test_aligned_meshes_give_identical_pairings():
     table = build_intersections(t2, t)
     # every cell clips to exactly itself; edge-sharing neighbours yield
     # sliver-suppressed empty intersections
-    assert [len(p) for p in table.fragments] == [1, 1, 1, 1]
+    assert table.cell.tolist() == [0, 1, 2, 3]
+    assert table.bg_cell.tolist() == [0, 1, 2, 3]
     C1 = assemble_C1(table, lh, vh).toarray()
     C2 = assemble_C2(lh, v2).toarray()
     assert C1 == pytest.approx(C2, abs=1e-14)

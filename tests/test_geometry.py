@@ -5,7 +5,6 @@ import pytest
 from scipy.spatial import ConvexHull
 
 from fddlm.geometry import (
-    centroid,
     clip_convex,
     fan_triangulate,
     is_ccw_convex,
@@ -42,12 +41,6 @@ def test_signed_area_shoelace():
     assert signed_area(square(0, 0, 1, 1)[::-1]) == pytest.approx(-1.0, abs=1e-15)
     assert signed_area([[0, 0], [2, 0], [0, 3]]) == pytest.approx(3.0, abs=1e-15)
     assert signed_area(square(-2.5, 1.0, 0.5, 4.0)) == pytest.approx(9.0, rel=1e-15)
-
-
-def test_centroid():
-    assert centroid(square(1, 2, 3, 6)) == pytest.approx([2.0, 4.0], abs=1e-14)
-    tri = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
-    assert centroid(tri) == pytest.approx([1.0, 1.0], abs=1e-14)
 
 
 def test_is_ccw_convex():

@@ -70,6 +70,27 @@ def test_interpolate_bubble_and_p0():
     assert cp == pytest.approx(sp.dof_coords.sum(axis=1), abs=1e-14)
 
 
+def test_p0_dof_coords_are_area_centroids():
+    # flower cells are not parallelograms, so the area centroid differs
+    # from the vertex mean; split each quad into two triangles as oracle
+    m = build_mesh(DomainSpec("flower", base_cells=2), 1)
+    p = m.nodes[m.cells]
+    tri_a = p[:, [0, 1, 2]]
+    tri_b = p[:, [0, 2, 3]]
+
+    def area(t):
+        u = t[:, 1] - t[:, 0]
+        v = t[:, 2] - t[:, 0]
+        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
+
+    wa = area(tri_a)[:, None]
+    wb = area(tri_b)[:, None]
+    oracle = (wa * tri_a.mean(axis=1) + wb * tri_b.mean(axis=1)) / (wa + wb)
+    coords = build_space(m, P0).dof_coords
+    assert coords == pytest.approx(oracle, abs=1e-14)
+    assert np.abs(coords - p.mean(axis=1)).max() > 1e-6
+
+
 def test_dirichlet_dofs_by_family():
     m = build_mesh(UNIT2)
     assert np.array_equal(dirichlet_dofs(build_space(m, Q1)), m.boundary_nodes)

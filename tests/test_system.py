@@ -11,7 +11,6 @@ from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.space import build_space, dirichlet_bc
 from fddlm.system import (
     BlockSystem,
-    ProblemConfig,
     SolutionTriple,
     SolverError,
     apply_dirichlet,
@@ -263,8 +262,6 @@ def test_block_system_validation():
     sysm, _, _, _ = toy_system()
     with pytest.raises(ValueError, match="rows"):
         BlockSystem(sysm.A1, sysm.A2, sysm.C1, sysm.C2[:2], sysm.F1, sysm.F2)
-    with pytest.raises(ValueError, match="positive"):
-        ProblemConfig(beta=-1.0)
 
 
 def test_project_p0_nested_average():
