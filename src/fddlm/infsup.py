@@ -1,17 +1,21 @@
 """Numerical inf-sup test for the multiplier coupling.
 
 The discrete inf-sup constant of the pairing between the immersed space
-and the piecewise constant multiplier space is estimated from the
-generalized eigenproblem
+and the piecewise constant multiplier space is the m-th largest
+eigenvalue sigma of the generalized eigenproblem
 
-    C2 (h2^2 N1)^{-1} C2^T-style pencil:  S v = sigma N2 v,
-    S = C2^T (h2^2 N1)^{-1} C2,
+    S v = sigma N2 v,    S = C2^T (h2^2 N1)^{-1} C2,
 
-with N1 the multiplier mass matrix (diagonal of cell areas) and N2 the
-H1 matrix (stiffness + mass) of the immersed space. S is positive
-semidefinite with rank at most m = dim(Lambda_h); the relevant constant
-is the square root of the m-th largest eigenvalue (the smallest nonzero
-one when C2 has full row rank). A stable pairing keeps it bounded away
+with N1 the multiplier mass matrix (diagonal of cell areas), N2 the H1
+matrix (stiffness + mass) of the immersed space and m = dim(Lambda_h).
+S is positive semidefinite with rank at most m, so the nonzero part of
+this n2 x n2 spectrum is the spectrum of the m x m Schur form
+
+    W = D^{-1/2} C2 N2^{-1} C2^T D^{-1/2},    D = h2^2 N1,
+
+and sigma is the smallest eigenvalue of W (zero when C2 is rank
+deficient). The estimate takes one sparse factorization of N2 and one
+dense eigensolve of W. A stable pairing keeps sqrt(sigma) bounded away
 from zero under refinement; a degenerating one drives it to zero.
 """
 
@@ -32,11 +36,11 @@ from .system import assemble_mass, assemble_stiffness
 __all__ = [
     "build_norm_matrices",
     "infsup_constant",
-    "infsup_constant_svd",
     "InfSupReport",
     "infsup_sweep",
 ]
 
+# largest m for the dense eigensolve of the m x m Schur form
 _MAX_DENSE = 12000
 
 # gamma of the scaled pencil is dimensionless and sits at O(0.01..1) for
@@ -57,19 +61,9 @@ def build_norm_matrices(v2_space, lambda_space):
     return N1, N2
 
 
-def _pencil_matrices(C2, N1, N2, h2):
-    dinv = 1.0 / (h2 * h2 * N1.diagonal())
-    C2d = C2.toarray()
-    S = C2d.T @ (dinv[:, None] * C2d)
-    S = 0.5 * (S + S.T)
-    return S, N2.toarray()
-
-
 def _schur_sigma(C2, N1, N2, h2, block=512):
-    # the nonzero pencil spectrum equals the spectrum of the m x m Schur
-    # form W = D^{-1/2} C2 N2^{-1} C2^T D^{-1/2}; its smallest eigenvalue
-    # is the m-th largest pencil eigenvalue, including the zeros of a
-    # rank-deficient C2
+    # smallest eigenvalue of W (module docstring), built block column by
+    # block column from one factorization of N2
     dis = (1.0 / (h2 * np.sqrt(N1.diagonal())))[:, None]
     R = C2.multiply(dis).tocsr()
     RT = sp.csc_matrix(R.T)
@@ -84,50 +78,24 @@ def _schur_sigma(C2, N1, N2, h2, block=512):
 
 
 def infsup_constant(C2, N1, N2, h2):
-    """Inf-sup estimate via the generalized eigenproblem.
+    """Inf-sup estimate from the m x m Schur form of the pencil.
 
     Returns (sigma, gamma) where sigma is the m-th largest eigenvalue of
-    the pencil (m = number of multiplier dofs) and gamma = sqrt(sigma).
-    Uses the dense n2 x n2 pencil at desk scale and falls back to the
-    equivalent m x m Schur form (sparse factorization of N2) when only
-    the multiplier space is small enough.
+    the pencil (m = number of multiplier dofs), taken as the smallest
+    eigenvalue of W = D^{-1/2} C2 N2^{-1} C2^T D^{-1/2}, and
+    gamma = sqrt(sigma).
     """
     m, n2 = C2.shape
     if m > n2:
         raise ValueError("multiplier space larger than immersed space")
-    if n2 <= _MAX_DENSE:
-        S, B = _pencil_matrices(C2, N1, N2, h2)
-        idx = n2 - m  # ascending order: position of the m-th largest
-        w = sla.eigh(S, B, eigvals_only=True, subset_by_index=[idx, idx])
-        sigma = float(max(w[0], 0.0))
-    elif m <= _MAX_DENSE:
-        sigma = float(max(_schur_sigma(C2, N1, N2, h2), 0.0))
-    else:
+    if m > _MAX_DENSE:
         raise ValueError(
-            f"pencil dimensions ({m}, {n2}) too large for the dense "
-            f"eigensolve (limit {_MAX_DENSE}); use a coarser immersed "
-            "base resolution"
+            f"multiplier space of dimension {m} too large for the dense "
+            f"eigensolve of the m x m Schur matrix (limit {_MAX_DENSE}); "
+            "use a coarser immersed base resolution"
         )
+    sigma = float(max(_schur_sigma(C2, N1, N2, h2), 0.0))
     return sigma, float(np.sqrt(sigma))
-
-
-def infsup_constant_svd(C2, N1, N2, h2):
-    """Same constant through the equivalent singular value problem.
-
-    With N2 = L L^T and D = h2^2 N1, gamma is the smallest singular
-    value of D^{-1/2} C2 L^{-T}. Serves as an independent cross-check of
-    the eigenvalue path.
-    """
-    m, n2 = C2.shape
-    if n2 > _MAX_DENSE:
-        raise ValueError("dim(V2h) too large for the dense SVD")
-    L = sla.cholesky(N2.toarray(), lower=True)
-    dis = 1.0 / (h2 * np.sqrt(N1.diagonal()))
-    # M = D^{-1/2} C2 L^{-T}; columns solved as L^{-1} C2^T
-    Y = sla.solve_triangular(L, C2.toarray().T, lower=True)
-    M = dis[:, None] * Y.T
-    svals = sla.svdvals(M)
-    return float(svals[min(m, n2) - 1])
 
 
 @dataclass

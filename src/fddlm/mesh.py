@@ -124,7 +124,10 @@ class QuadMesh:
 
     def cell_areas(self):
         """Signed areas of all cells (positive for valid meshes)."""
+        # relative to each cell's first vertex, so that small cells far
+        # from the origin keep their digits
         p = self.nodes[self.cells]
+        p = p - p[:, :1]
         x = p[:, :, 0]
         y = p[:, :, 1]
         xn = np.roll(x, -1, axis=1)

@@ -126,8 +126,7 @@ def test_criterion_2_exact_convergence_element2(studies_elm2):
 def test_criterion_3_infsup_stability():
     disk1 = DomainSpec("disk", base_cells=1)
     rep1 = infsup_sweep("elm1", disk1, 5)
-    # q2 needs one more level of base resolution to start in regime; its
-    # finest level goes through the Schur route of infsup_constant
+    # q2 needs one more level of base resolution to start in regime
     rep2 = infsup_sweep("elm2", DomainSpec("disk", base_cells=2), 5)
     rep0 = infsup_sweep("q1q1p0", disk1, 5)
     r1 = rep1.gamma_est[-1] / rep1.gamma_est[0]

@@ -65,9 +65,7 @@ def test_c1_matches_per_fragment_newton_oracle(fam):
 )
 def test_pairs_match_brute_force_clipping(origin, width, aspect, base, level, corner, size, n):
     # immersed patch corners land on grid lines (fraction 0) or anywhere
-    # between them, so the index arithmetic is probed at cell boundaries;
-    # the origin scales with the box, because the shoelace cell areas the
-    # coverage check compares against lose digits far from the origin
+    # between them, so the index arithmetic is probed at cell boundaries
     x0, y0 = origin[0] * width, origin[1] * width
     t = build_mesh(
         DomainSpec("rectangle", bounds=(x0, x0 + width, y0, y0 + aspect * width), base_cells=base),
@@ -112,6 +110,21 @@ def test_coverage_error_names_cell():
     t2 = patch(-0.5, 0.5, 0.0, 1.0)  # sticks out of the background box
     with pytest.raises(CoverageError, match="immersed cell 0"):
         build_intersections(t2, t)
+
+
+def test_small_cells_far_from_origin_are_covered():
+    # cell areas taken on absolute coordinates lose digits for cells of
+    # side ~1e-3 at distance ~2 from the origin, and the coverage check
+    # then rejects valid input
+    t = patch(0, 4, 0, 4, n=128)
+    rng = np.random.default_rng(0)
+    for _ in range(40):
+        side = rng.uniform(0.001, 0.004)
+        x0, y0 = rng.uniform(1, 3, size=2)
+        t2 = patch(x0, x0 + side, y0, y0 + side)
+        assert t2.cell_areas() == pytest.approx([side * side], rel=1e-12)
+        table = build_intersections(t2, t)
+        assert table.weights.sum() == pytest.approx(side * side, rel=1e-12)
 
 
 def test_c1_single_cell_oracle():

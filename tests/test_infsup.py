@@ -2,15 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddlm.coupling import assemble_C2
-from fddlm.element import P0, Q1, Q1B
+from fddlm.element import P0, Q1, Q1B, Q2
 from fddlm.infsup import (
     InfSupReport,
     build_norm_matrices,
     infsup_constant,
-    infsup_constant_svd,
     infsup_sweep,
 )
 from fddlm.mesh import DomainSpec, build_mesh
@@ -24,6 +26,32 @@ def small_setup(fam=Q1B, level=0, kind="disk", base=1):
     C2 = assemble_C2(lh, v2)
     N1, N2 = build_norm_matrices(v2, lh)
     return C2, N1, N2, t2.h
+
+
+def _dense_pencil_sigma(C2, N1, N2, h2):
+    """m-th largest and largest eigenvalue of the full dense pencil."""
+    dinv = 1.0 / (h2 * h2 * N1.diagonal())
+    C2d = C2.toarray()
+    S = C2d.T @ (dinv[:, None] * C2d)
+    w = sla.eigh(0.5 * (S + S.T), N2.toarray(), eigvals_only=True)
+    m, n2 = C2.shape
+    return w[n2 - m], w[-1]
+
+
+def _infsup_constant_svd(C2, N1, N2, h2):
+    """The constant through the equivalent singular value problem.
+
+    With N2 = L L^T and D = h2^2 N1, gamma is the smallest singular
+    value of D^{-1/2} C2 L^{-T}: an independent cross-check of the
+    eigenvalue path.
+    """
+    m, n2 = C2.shape
+    L = sla.cholesky(N2.toarray(), lower=True)
+    dis = 1.0 / (h2 * np.sqrt(N1.diagonal()))
+    # M = D^{-1/2} C2 L^{-T}; columns solved as L^{-1} C2^T
+    Y = sla.solve_triangular(L, C2.toarray().T, lower=True)
+    M = dis[:, None] * Y.T
+    return float(sla.svdvals(M)[min(m, n2) - 1])
 
 
 def test_norm_matrices():
@@ -55,13 +83,13 @@ def test_single_multiplier_closed_form():
 def test_eigen_and_svd_paths_agree():
     C2, N1, N2, h2 = small_setup(Q1B, level=1)
     sigma, gamma = infsup_constant(C2, N1, N2, h2)
-    gamma_svd = infsup_constant_svd(C2, N1, N2, h2)
+    gamma_svd = _infsup_constant_svd(C2, N1, N2, h2)
     assert sigma >= 0
     assert gamma == pytest.approx(gamma_svd, rel=1e-8)
     # equal-order pairing is rank deficient here; both paths must flag it
     C2, N1, N2, h2 = small_setup(Q1, level=1)
     _, gamma = infsup_constant(C2, N1, N2, h2)
-    gamma_svd = infsup_constant_svd(C2, N1, N2, h2)
+    gamma_svd = _infsup_constant_svd(C2, N1, N2, h2)
     assert gamma < 1e-6 and gamma_svd < 1e-6
 
 
@@ -95,13 +123,40 @@ def test_dimension_guards():
         infsup_constant(sp.csr_matrix((12001, 12002)), N1, N2, h2)
 
 
-def test_schur_route_matches_dense(monkeypatch):
-    C2, N1, N2, h2 = small_setup(Q1B, level=1)
-    _, gamma_dense = infsup_constant(C2, N1, N2, h2)
-    # force the large-space route: m = 20 fits, n2 = 45 does not
-    monkeypatch.setattr("fddlm.infsup._MAX_DENSE", 30)
-    _, gamma_schur = infsup_constant(C2, N1, N2, h2)
-    assert gamma_schur == pytest.approx(gamma_dense, rel=1e-10)
+@pytest.mark.parametrize(
+    "fam,level", [(Q1B, 1), (Q1B, 2), (Q2, 1)], ids=["elm1-1", "elm1-2", "elm2-1"]
+)
+def test_matches_dense_pencil_spectrum(fam, level):
+    C2, N1, N2, h2 = small_setup(fam, level=level)
+    sigma, gamma = infsup_constant(C2, N1, N2, h2)
+    sigma_ref, _ = _dense_pencil_sigma(C2, N1, N2, h2)
+    assert sigma == pytest.approx(sigma_ref, rel=1e-10)
+    assert gamma == pytest.approx(np.sqrt(sigma_ref), rel=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n2=st.integers(1, 12),
+    mfrac=st.floats(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+)
+def test_matches_dense_pencil_on_random_pencils(n2, mfrac, seed, duplicate):
+    # random SPD N2, random C2 with m <= n2; a duplicated row makes C2
+    # rank deficient, so the m-th largest pencil eigenvalue is zero
+    m = 1 + int(mfrac * (n2 - 1))
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((n2, n2))
+    N2 = sp.csr_matrix(A @ A.T + 0.1 * np.eye(n2))
+    C = rng.standard_normal((m, n2))
+    if duplicate and m > 1:
+        C[-1] = C[0]
+    C2 = sp.csr_matrix(C)
+    N1 = sp.diags(rng.uniform(0.5, 2.0, m)).tocsr()
+    h2 = rng.uniform(0.1, 1.0)
+    sigma, _ = infsup_constant(C2, N1, N2, h2)
+    sigma_ref, top = _dense_pencil_sigma(C2, N1, N2, h2)
+    assert abs(sigma - sigma_ref) <= 1e-10 * top
 
 
 def test_verdict_logic():
