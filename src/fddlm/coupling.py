@@ -4,9 +4,10 @@ The multiplier pairing restricted to the background space needs integrals
 of background basis functions over immersed cells. The background mesh
 must be a uniform axis-aligned grid (others are rejected with ValueError),
 so the background cells an immersed cell may overlap follow by index
-arithmetic from its bounding box. The cell is clipped against each of
-them (exact convex polygon intersection), the pieces are fan-triangulated
-and a symmetric degree-4 triangle rule is mapped to every triangle. The
+arithmetic from its bounding box. All (immersed, background) candidate
+pairs are clipped in one batched pass (exact convex polygon intersection,
+``geometry.clip_convex_batch``), the pieces are fan-triangulated and a
+symmetric degree-4 triangle rule is mapped to every triangle. The
 background cell maps are affine, so C1 is built in one vectorized pass
 over all quadrature points. No quadrature on cut cells is approximated by
 sampling; the clipped geometry is exact up to floating point rounding.
@@ -16,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .geometry import clip_convex, fan_triangulate, triangle_areas
+from .geometry import clip_convex_batch, fan_triangulate_batch, triangle_areas
 
 __all__ = [
     "CouplingTable",
@@ -104,7 +105,14 @@ def _triangle_quadrature(tris, rule):
 
 
 def build_intersections(t2, t):
-    """Clip every immersed cell against the background grid.
+    """Clip every immersed cell against the background grid in one pass.
+
+    The candidates of an immersed cell are the background cells of its
+    padded index box. All (immersed, background) candidate pairs, ordered
+    by immersed cell and then background cell index, are clipped at once
+    by ``clip_convex_batch``, which gives bitwise the pieces ``clip_convex``
+    gives pair by pair. The non-empty pieces are fan-triangulated and carry
+    the degree-4 triangle rule.
 
     Parameters
     ----------
@@ -125,26 +133,25 @@ def build_intersections(t2, t):
         within a relative 1e-10, naming the offending cell.
     """
     origin, h, tol, index = _grid(t)
-    bg_polys = t.nodes[t.cells]
     polys = t2.nodes[t2.cells]
     top = np.array(index.shape[::-1]) - 1
     first = np.clip(np.floor((polys.min(axis=1) - origin - tol) / h), 0, top).astype(np.int64)
     last = np.clip(np.floor((polys.max(axis=1) - origin + tol) / h), 0, top).astype(np.int64)
-    cell, bg_cell, tris = [], [], []
-    for i in range(t2.num_cells):
-        (c0, r0), (c1, r1) = first[i], last[i]
-        for c in np.sort(index[r0 : r1 + 1, c0 : c1 + 1], axis=None):
-            piece = clip_convex(polys[i], bg_polys[c])
-            if piece is not None:
-                cell.append(i)
-                bg_cell.append(c)
-                tris.append(fan_triangulate(piece))
+    span = last - first + 1
+    num = span.prod(axis=1)
+    cell = np.repeat(np.arange(t2.num_cells), num)
+    k = np.arange(cell.size) - np.repeat(np.cumsum(num) - num, num)
+    col = first[cell, 0] + k % span[cell, 0]
+    row = first[cell, 1] + k // span[cell, 0]
+    bg_cell = index[row, col]
+    order = np.lexsort((bg_cell, cell))
+    cell, bg_cell = cell[order], bg_cell[order]
+    verts, count = clip_convex_batch(polys[cell], t.nodes[t.cells[bg_cell]])
+    hit = count > 0
+    cell, bg_cell, count = cell[hit], bg_cell[hit], count[hit]
     rule = el.gauss_triangle(_TRI_DEGREE)
-    points, weights = _triangle_quadrature(
-        np.concatenate(tris or [np.empty((0, 3, 2))]), rule
-    )
-    ptr = rule.npoints * np.cumsum([0] + [len(x) for x in tris])
-    cell = np.asarray(cell, dtype=np.int64)
+    points, weights = _triangle_quadrature(fan_triangulate_batch(verts[hit], count), rule)
+    ptr = rule.npoints * np.concatenate([[0], np.cumsum(count)])
     area = np.add.reduceat(weights, ptr[:-1])
     covered = np.bincount(cell, weights=area, minlength=t2.num_cells)
     target = np.abs(t2.cell_areas())
@@ -155,7 +162,6 @@ def build_intersections(t2, t):
             f"immersed cell {i} not covered by the background mesh: "
             f"fragment area {covered[i]:.15e} vs cell area {target[i]:.15e}"
         )
-    bg_cell = np.asarray(bg_cell, dtype=np.int64)
     return CouplingTable(t2, t, cell, bg_cell, ptr, points, weights)
 
 

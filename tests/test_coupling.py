@@ -5,15 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fddlm import problems
 from fddlm.coupling import (
+    _TRI_DEGREE,
     CoverageError,
+    _grid,
+    _triangle_quadrature,
     assemble_C1,
     assemble_C2,
     build_intersections,
 )
-from fddlm.element import P0, Q1, Q1B, Q2, CellMap, basis_matrix
-from fddlm.geometry import clip_convex
+from fddlm.element import P0, Q1, Q1B, Q2, CellMap, basis_matrix, gauss_triangle
+from fddlm.geometry import clip_convex, fan_triangulate
 from fddlm.mesh import DomainSpec, QuadMesh, build_mesh
+from fddlm.runner import build_mesh_sequence
 from fddlm.space import build_space
 
 
@@ -31,6 +36,41 @@ def test_fragments_of_offset_cell():
     assert areas == pytest.approx([0.5625, 0.1875, 0.1875, 0.0625], abs=1e-14)
     assert np.all(table.weights > 0)
     assert table.num_fragments == 4
+
+
+def per_pair_table(t2, t):
+    """The coupling table clipped one (immersed, background) pair at a
+    time with clip_convex and fan_triangulate."""
+    origin, h, tol, index = _grid(t)
+    polys = t2.nodes[t2.cells]
+    top = np.array(index.shape[::-1]) - 1
+    first = np.clip(np.floor((polys.min(axis=1) - origin - tol) / h), 0, top).astype(np.int64)
+    last = np.clip(np.floor((polys.max(axis=1) - origin + tol) / h), 0, top).astype(np.int64)
+    cell, bg_cell, tris = [], [], []
+    for i in range(t2.num_cells):
+        (c0, r0), (c1, r1) = first[i], last[i]
+        for c in np.sort(index[r0 : r1 + 1, c0 : c1 + 1], axis=None):
+            piece = clip_convex(polys[i], t.nodes[t.cells[c]])
+            if piece is not None:
+                cell.append(i)
+                bg_cell.append(c)
+                tris.append(fan_triangulate(piece))
+    rule = gauss_triangle(_TRI_DEGREE)
+    points, weights = _triangle_quadrature(np.concatenate(tris), rule)
+    ptr = rule.npoints * np.cumsum([0] + [len(x) for x in tris])
+    return np.array(cell), np.array(bg_cell), ptr, points, weights
+
+
+@pytest.mark.parametrize("example", [3, 4])
+def test_table_matches_per_pair_clipping(example):
+    bg = build_mesh_sequence(problems.background_spec(example, 16), 3)
+    base = problems.immersed_base_for_ratio(example, bg[0].h, 1.0)
+    im = build_mesh_sequence(problems.immersed_spec(example, base), 3)
+    for t, t2 in zip(bg, im):
+        table = build_intersections(t2, t)
+        got = (table.cell, table.bg_cell, table.ptr, table.points, table.weights)
+        for a, b in zip(got, per_pair_table(t2, t)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("fam", [Q1, Q2])

@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from fddlm.geometry import (
     clip_convex,
+    clip_convex_batch,
     fan_triangulate,
+    fan_triangulate_batch,
     is_ccw_convex,
     signed_area,
     triangle_areas,
@@ -145,3 +149,112 @@ def test_fan_triangulation_conserves_area():
 def test_triangle_areas_signs():
     t = np.array([[[0, 0], [1, 0], [0, 1]], [[0, 0], [0, 1], [1, 0]]], dtype=float)
     assert triangle_areas(t) == pytest.approx([0.5, -0.5], abs=1e-15)
+
+
+def affine_quad(center, size, angle, shear, aspect, angles=None):
+    """Counterclockwise convex quad: the unit square, or four points at
+    ``angles`` on the unit circle, mapped by scale, shear and rotation."""
+    if angles is None:
+        ref = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float) / 2
+    else:
+        a = np.sort(np.asarray(angles)) * 2 * np.pi
+        ref = np.column_stack([np.cos(a), np.sin(a)]) / 2
+    c, s = np.cos(angle), np.sin(angle)
+    A = size * np.array([[c, -s], [s, c]]) @ np.array([[1.0, shear], [0.0, aspect]])
+    return ref @ A.T + np.asarray(center)
+
+
+unit = st.floats(0, 1)
+quad_params = st.tuples(
+    st.floats(-0.5, 0.5),  # shear
+    st.floats(0.3, 3),  # aspect
+    unit,  # rotation
+    st.one_of(st.none(), st.lists(unit, min_size=4, max_size=4, unique=True)),
+)
+
+
+@st.composite
+def quad_pairs(draw):
+    # the small sizes put quads far from the origin relative to their size
+    size = 10.0 ** draw(st.floats(-3, 1))
+    center = np.array(draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)))) * 10.0 ** draw(
+        st.floats(-1, 3)
+    )
+    shear, aspect, rot, angles = draw(quad_params)
+    subject = affine_quad(center, size, rot * 2 * np.pi, shear, aspect, angles)
+    kind = draw(
+        st.sampled_from(["random", "grid", "identical", "nested", "edge", "corner", "near"])
+    )
+    if kind == "random":
+        shift = np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))) * size
+        shear, aspect, rot, angles = draw(quad_params)
+        clipper = affine_quad(
+            center + shift, size * draw(st.floats(0.3, 3)), rot * 2 * np.pi, shear, aspect, angles
+        )
+    elif kind == "grid":
+        shift = np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))) * size
+        clipper = affine_quad(center + shift, size * draw(st.floats(0.3, 3)), 0.0, 0.0, 1.0)
+    elif kind == "identical":
+        clipper = subject.copy()
+    elif kind == "nested":
+        factor = draw(st.sampled_from([0.25, 0.9, 1.1, 4.0]))
+        mid = subject.mean(axis=0)
+        clipper = mid + factor * (subject - mid)
+    else:
+        # translate by one edge (shared edge) or by the sum of two edges
+        # (shared corner); the quad is a parallelogram or not, so the
+        # contact is exact or within rounding or a real overlap. "near"
+        # adds an offset of 1e-14 to 1e-9 of the size, on both sides of
+        # the on-edge tolerance
+        k = draw(st.integers(0, 3))
+        e = subject[(k + 1) % 4] - subject[k]
+        if kind == "corner":
+            e = e + subject[(k + 2) % 4] - subject[(k + 1) % 4]
+        if kind == "near":
+            phi = draw(unit) * 2 * np.pi
+            e = e + size * 10.0 ** draw(st.floats(-14, -9)) * np.array([np.cos(phi), np.sin(phi)])
+        clipper = subject + e
+    if draw(st.booleans()):
+        subject, clipper = clipper, subject
+    return subject, clipper
+
+
+@settings(max_examples=60, deadline=None)
+@given(pairs=st.lists(quad_pairs(), min_size=1, max_size=25))
+def test_batch_clip_matches_clip_convex_row_by_row(pairs):
+    subjects = np.array([p[0] for p in pairs])
+    clippers = np.array([p[1] for p in pairs])
+    verts, count = clip_convex_batch(subjects, clippers)
+    assert verts.shape[0] == count.shape[0] == len(pairs)
+    fans = []
+    for k, (p, q) in enumerate(pairs):
+        ref = clip_convex(p, q)
+        if ref is None:
+            assert count[k] == 0
+        else:
+            assert count[k] == len(ref)
+            assert np.array_equal(verts[k, : count[k]], ref)
+            fans.append(fan_triangulate(ref))
+    hit = count > 0
+    tris = fan_triangulate_batch(verts[hit], count[hit])
+    assert np.array_equal(tris, np.concatenate(fans or [np.empty((0, 3, 2))]))
+
+
+def test_batch_clip_special_rows():
+    s = square(-1, -1, 1, 1)
+    r2 = np.sqrt(2.0)
+    diamond = np.array([[r2, 0], [0, r2], [-r2, 0], [0, -r2]])
+    flat = np.array([[0, 0], [1, 0], [2, 0], [1, 0]], dtype=float)  # zero area
+    pinched = np.array([[-1, -1], [1, -1], [1, -1], [-1, 1]], dtype=float)  # repeated vertex
+    closed = np.array([[-1, -1], [1, -1], [-1, 1], [-1, -1]], dtype=float)  # last = first
+    subjects = np.array([s, flat, s, s, s, diamond, pinched, closed])
+    clippers = np.array([diamond, s, square(2, 0, 3, 1), square(1, -1, 2, 1), pinched, s, s, s])
+    verts, count = clip_convex_batch(subjects, clippers)
+    # octagon, zero-area subject, disjoint, shared edge, zero-length clip
+    # edge, octagon, and the two dedupe cases (consecutive, cyclic)
+    assert count.tolist() == [8, 0, 0, 0, 3, 8, 3, 3]
+    for k in range(len(subjects)):
+        ref = clip_convex(subjects[k], clippers[k])
+        assert (ref is None) == (count[k] == 0)
+        if ref is not None:
+            assert np.array_equal(verts[k, : count[k]], ref)

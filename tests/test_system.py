@@ -190,15 +190,6 @@ def test_solver_matches_dense_brute_force():
     assert sol.constraint_res <= 1e-9
 
 
-def test_sparse_and_dense_paths_agree():
-    sysm, vh, _, _ = toy_system()
-    bc = dirichlet_bc(vh)
-    dense = solve_saddle(sysm, bc)
-    sparse = solve_saddle(sysm, bc, dense_threshold=0)
-    assert dense.u == pytest.approx(sparse.u, abs=1e-12)
-    assert dense.lam == pytest.approx(sparse.lam, abs=1e-12)
-
-
 def test_scaling_equivariance():
     base, vh, _, _ = toy_system(f=1.0, f2=2.0)
     scaled, _, _, _ = toy_system(f=3.0, f2=6.0)
