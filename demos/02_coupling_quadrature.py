@@ -1,20 +1,22 @@
-"""Exact cross-mesh coupling by polygon clipping.
+"""Exact cross-mesh coupling by polygon clipping and polygon moments.
 
 The multiplier couples fields living on two unrelated meshes, so the
 assembly needs integrals of background basis functions over immersed
 cells. The background is a uniform axis-aligned grid, so the background
 cells an immersed cell may touch follow from its bounding box by index
 arithmetic. Each immersed cell is clipped against them
-(Sutherland-Hodgman), the convex fragments are fan-triangulated and a
-degree-4 triangle rule integrates the products exactly; C1 is then
-assembled from all quadrature points in one vectorized pass. Two checks
-make the exactness visible:
+(Sutherland-Hodgman), and every convex fragment gets its moments
+M[p, q] = integral of xi^p eta^q (p, q <= 2) in the reference coordinates
+of its background cell, exactly, by Green's theorem. The Q1 and Q2 bases
+are combinations of these monomials, so C1 is one product of the moments
+with the basis' monomial coefficients. Two checks make the exactness
+visible:
 
 * a hand-computable corner configuration where the coupling entry is
   (3/8)^2 = 0.140625,
 * row sums of the coupling matrix, which must reproduce each immersed
   cell's area to machine precision because the background basis sums
-  to one.
+  to one; the fragment areas M[0, 0] likewise sum to the mesh area.
 """
 
 import numpy as np
@@ -45,9 +47,9 @@ table = build_intersections(im, bg)
 C1 = assemble_C1(table, build_space(im, P0), build_space(bg, Q1))
 sums = np.asarray(C1.sum(axis=1)).ravel()
 areas = im.cell_areas()
-frag_area = table.weights.sum()
+frag_area = table.moments[:, 0, 0].sum()
 print("\ndisk inside an unaligned 8x8 background")
 print(f"  immersed cells: {im.num_cells}, fragments: {table.num_fragments}")
-print(f"  fragment areas sum to the disk mesh area: "
+print(f"  fragment areas M00 sum to the disk mesh area: "
       f"{frag_area:.12f} vs {areas.sum():.12f}")
 print(f"  worst |row sum / cell area - 1| = {np.abs(sums / areas - 1).max():.2e}")

@@ -2,8 +2,9 @@
 
 Subcommands: solve, convergence, infsup, mesh-export. A JSON config file
 selects the benchmark (example, case, element, levels, ratio,
-base_cells); --output sets the output directory and --threads enables
-parallel levels in studies. Every output file embeds the fully resolved
+base_cells); --output sets the output directory. --threads (>= 1) is
+accepted for compatibility and has no effect: study levels are solved one
+after another. Every output file embeds the fully resolved
 config, and float formatting is fixed so identical configs produce byte
 identical CSV files.
 """
@@ -91,6 +92,8 @@ def load_config(path=None, overrides=None):
         raise ConfigError("ratio must be positive")
     if cfg.base_cells < 2:
         raise ConfigError("base_cells must be >= 2")
+    if cfg.infsup_base < 0:
+        raise ConfigError("infsup_base must be >= 0 (0 = per-geometry default)")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     return cfg
@@ -278,7 +281,7 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, help="parallel levels in studies")
+        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(

@@ -6,18 +6,20 @@ must be a uniform axis-aligned grid (others are rejected with ValueError),
 so the background cells an immersed cell may overlap follow by index
 arithmetic from its bounding box. All (immersed, background) candidate
 pairs are clipped in one batched pass (exact convex polygon intersection,
-``geometry.clip_convex_batch``), the pieces are fan-triangulated and a
-symmetric degree-4 triangle rule is mapped to every triangle. The
-background cell maps are affine, so C1 is built in one vectorized pass
-over all quadrature points. No quadrature on cut cells is approximated by
-sampling; the clipped geometry is exact up to floating point rounding.
+``geometry.clip_convex_batch``). The background cell maps are affine, so
+each piece is mapped into the reference square of its background cell
+and its monomial moments of bidegree <= 2 are taken by Green's theorem
+(``geometry.polygon_moments``). The Q1, Q1+bubble and Q2 bases are
+polynomials of bidegree <= 2 there, so C1 is one product of the moments
+with the bases' monomial coefficients. Nothing on cut cells is sampled or
+approximated; the integrals are exact up to floating point rounding.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .geometry import clip_convex_batch, fan_triangulate_batch, triangle_areas
+from .geometry import clip_convex_batch, polygon_moments
 
 __all__ = [
     "CouplingTable",
@@ -27,9 +29,9 @@ __all__ = [
     "assemble_C2",
 ]
 
-# degree 4 keeps products of a biquadratic background basis with the
-# constant multiplier exact on straight background cells
-_TRI_DEGREE = 4
+# exponents (p, q) of the flattened moments, index 3 p + q; halved, they
+# are the lattice {0, 1/2, 1}^2, unisolvent for polynomials of bidegree <= 2
+_POWERS = np.array([(p, q) for p in range(3) for q in range(3)])
 _COVERAGE_RTOL = 1e-10
 # grid tolerance relative to the coordinate scale: refined grids are
 # uniform only up to rounding, and bounding boxes are padded by the same
@@ -46,19 +48,18 @@ class CouplingTable:
 
     Fragment k is the intersection of immersed cell ``cell[k]`` with
     background cell ``bg_cell[k]``. Fragments are ordered by immersed
-    cell, then by background cell index (deterministic). The quadrature
-    of fragment k is ``points[ptr[k]:ptr[k + 1]]`` with the matching
-    ``weights``, which sum to the fragment area.
+    cell, then by background cell index (deterministic). With xi, eta the
+    reference coordinates of background cell ``bg_cell[k]``,
+    ``moments[k, p, q]`` is the integral of xi^p eta^q over fragment k
+    (p, q <= 2), so ``moments[k, 0, 0]`` is its area.
     """
 
-    def __init__(self, t2, t, cell, bg_cell, ptr, points, weights):
+    def __init__(self, t2, t, cell, bg_cell, moments):
         self.t2 = t2
         self.t = t
         self.cell = cell
         self.bg_cell = bg_cell
-        self.ptr = ptr
-        self.points = points
-        self.weights = weights
+        self.moments = moments
 
     @property
     def num_fragments(self):
@@ -91,19 +92,6 @@ def _grid(t):
     raise ValueError("background mesh is not a uniform axis-aligned grid")
 
 
-def _triangle_quadrature(tris, rule):
-    """Map a reference triangle rule onto every triangle of an (n, 3, 2) array."""
-    a = tris[:, None, 0]
-    b = tris[:, None, 1]
-    c = tris[:, None, 2]
-    xh = rule.points[:, 0, None]
-    yh = rule.points[:, 1, None]
-    pts = a + xh * (b - a) + yh * (c - a)
-    # reference measure is 1/2, so the affine scale factor is 2*area
-    wts = rule.weights * (2.0 * triangle_areas(tris))[:, None]
-    return pts.reshape(-1, 2), wts.ravel()
-
-
 def build_intersections(t2, t):
     """Clip every immersed cell against the background grid in one pass.
 
@@ -111,8 +99,9 @@ def build_intersections(t2, t):
     padded index box. All (immersed, background) candidate pairs, ordered
     by immersed cell and then background cell index, are clipped at once
     by ``clip_convex_batch``, which gives bitwise the pieces ``clip_convex``
-    gives pair by pair. The non-empty pieces are fan-triangulated and carry
-    the degree-4 triangle rule.
+    gives pair by pair. Each non-empty piece, in the reference coordinates
+    (xi, eta) = (x - lower left) / extent of its background cell, gets the
+    moments of xi^p eta^q for p, q <= 2, scaled back to physical area.
 
     Parameters
     ----------
@@ -146,14 +135,14 @@ def build_intersections(t2, t):
     bg_cell = index[row, col]
     order = np.lexsort((bg_cell, cell))
     cell, bg_cell = cell[order], bg_cell[order]
-    verts, count = clip_convex_batch(polys[cell], t.nodes[t.cells[bg_cell]])
+    quads = t.nodes[t.cells[bg_cell]]
+    verts, count = clip_convex_batch(polys[cell], quads)
     hit = count > 0
-    cell, bg_cell, count = cell[hit], bg_cell[hit], count[hit]
-    rule = el.gauss_triangle(_TRI_DEGREE)
-    points, weights = _triangle_quadrature(fan_triangulate_batch(verts[hit], count), rule)
-    ptr = rule.npoints * np.concatenate([[0], np.cumsum(count)])
-    area = np.add.reduceat(weights, ptr[:-1])
-    covered = np.bincount(cell, weights=area, minlength=t2.num_cells)
+    cell, bg_cell, count, quads = cell[hit], bg_cell[hit], count[hit], quads[hit]
+    lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
+    ref = (verts[hit] - lo[:, None]) / ext[:, None]
+    moments = polygon_moments(ref, count) * ext.prod(axis=1)[:, None, None]
+    covered = np.bincount(cell, weights=moments[:, 0, 0], minlength=t2.num_cells)
     target = np.abs(t2.cell_areas())
     bad = np.flatnonzero(np.abs(covered - target) > _COVERAGE_RTOL * target)
     if bad.size:
@@ -162,7 +151,7 @@ def build_intersections(t2, t):
             f"immersed cell {i} not covered by the background mesh: "
             f"fragment area {covered[i]:.15e} vs cell area {target[i]:.15e}"
         )
-    return CouplingTable(t2, t, cell, bg_cell, ptr, points, weights)
+    return CouplingTable(t2, t, cell, bg_cell, moments)
 
 
 def assemble_C1(table, lambda_space, vh_space):
@@ -170,9 +159,10 @@ def assemble_C1(table, lambda_space, vh_space):
 
     Entry (i, j) = integral over (immersed cell i) of the background
     basis function j, accumulated fragment by fragment. The multiplier is
-    piecewise constant with basis value 1 on its cell. Every quadrature
-    point maps to the reference square of its background cell by the
-    affine map (x - lower left) / extent.
+    piecewise constant with basis value 1 on its cell. A background basis
+    function of bidegree <= 2 is a combination of the monomials
+    xi^p eta^q of its cell's reference coordinates, so its integral over a
+    fragment is the same combination of the fragment's moments.
 
     Returns an (m, n) CSR matrix, m = dim(Lambda_h), n = dim(V_h).
     """
@@ -181,12 +171,11 @@ def assemble_C1(table, lambda_space, vh_space):
     if lambda_space.mesh is not table.t2 or vh_space.mesh is not table.t:
         raise ValueError("coupling table does not match the given spaces")
     fam = vh_space.family
-    X = table.t.nodes[table.t.cells[table.bg_cell]]
-    lo = np.repeat(X[:, 0], np.diff(table.ptr), axis=0)
-    ext = np.repeat(X[:, 2], np.diff(table.ptr), axis=0) - lo
-    phi = el.basis_matrix(fam, (table.points - lo) / ext)
-    phi *= table.weights[:, None]
-    vals = np.add.reduceat(phi, table.ptr[:-1], axis=0)
+    # monomial coefficients of the basis from its values on the lattice
+    lattice = _POWERS / 2
+    vandermonde = np.prod(lattice[:, None] ** _POWERS, axis=2)
+    coef = np.linalg.solve(vandermonde, el.basis_matrix(fam, lattice))
+    vals = table.moments.reshape(-1, 9) @ coef
     rows = np.repeat(table.cell, fam.ndofs)
     cols = vh_space.dof_map[table.bg_cell].ravel()
     mat = sp.coo_matrix(

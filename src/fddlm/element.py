@@ -163,10 +163,6 @@ class QuadratureRule:
     weights: np.ndarray
     degree: int
 
-    @property
-    def npoints(self):
-        return self.points.shape[0]
-
 
 def gauss_square(n):
     """Tensor Gauss-Legendre rule on [0, 1]^2.

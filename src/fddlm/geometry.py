@@ -1,13 +1,19 @@
-"""Planar geometry kernel: convex polygon clipping and triangulation.
+"""Planar geometry kernel: convex polygon clipping and polygon moments.
 
 Polygons are (n, 2) float arrays with vertices in counterclockwise order.
-``clip_convex`` and ``fan_triangulate`` take one polygon at a time;
-``clip_convex_batch`` and ``fan_triangulate_batch`` do the same arithmetic
-on many rows at once, polygons padded to a common vertex count with a
-count per row, and give bitwise the same vertices and triangles. Both
-clippers read the tolerances below. All functions are pure; nothing in
-this module holds state.
+``clip_convex`` takes one pair of polygons at a time;
+``clip_convex_batch`` does the same arithmetic on many rows at once,
+polygons padded to a common vertex count with a count per row, and gives
+bitwise the same vertices. Both clippers read the tolerances below.
+``polygon_moments`` integrates the monomials x^p y^q, p, q <= 2, over
+padded rows exactly by Green's theorem. ``fan_triangulate`` splits one
+polygon into triangles; with a triangle rule it is the independent check
+of the moments. All functions are pure; nothing in this module holds
+state.
 """
+
+from itertools import product
+from math import comb
 
 import numpy as np
 
@@ -15,12 +21,10 @@ __all__ = [
     "EDGE_RTOL",
     "SLIVER_RTOL",
     "signed_area",
-    "is_ccw_convex",
     "clip_convex",
     "clip_convex_batch",
+    "polygon_moments",
     "fan_triangulate",
-    "fan_triangulate_batch",
-    "triangle_areas",
 ]
 
 # Relative to the bounding-box diagonal of a subject/clipper pair: a point
@@ -40,21 +44,6 @@ def signed_area(poly):
     x = p[:, 0]
     y = p[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-
-
-def is_ccw_convex(poly, tol=1e-12):
-    """Check counterclockwise orientation and convexity.
-
-    Consecutive-edge cross products must all be >= -tol * scale^2, where
-    scale is the bounding-box diagonal. Nearly collinear vertices pass.
-    """
-    p = np.asarray(poly, dtype=float)
-    if p.shape[0] < 3:
-        return False
-    d = np.roll(p, -1, axis=0) - p
-    cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
-    scale = np.linalg.norm(p.max(axis=0) - p.min(axis=0))
-    return bool(np.all(cross >= -tol * scale * scale)) and signed_area(p) > 0.0
 
 
 def clip_convex(subject, clipper):
@@ -244,6 +233,50 @@ def clip_convex_batch(subjects, clippers):
     return verts, counts
 
 
+# exponent pairs (p, k), k <= p <= 2, of the terms x^k y^(p-k) _terms stacks
+_PK = np.array([(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+
+
+def _terms(x, y):
+    return np.stack([np.ones_like(x), y, x, y * y, x * y, x * x], axis=-1)
+
+
+# Steger (1996): with a = (x_i, y_i), b = (x_{i+1}, y_{i+1}), int x^p y^q is
+# the sum over edges of cross(a, b) sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l)
+# b_x^k a_x^(p-k) b_y^l a_y^(q-l) / ((p+q+2) (p+q+1) C(p+q, p)); row
+# ((p, k), (q, l)) of _GREEN holds that coefficient in column 3 p + q
+_GREEN = np.zeros((36, 9))
+for _i, ((_p, _k), (_q, _l)) in enumerate(product(_PK.tolist(), repeat=2)):
+    _d = (_p + _q + 2) * (_p + _q + 1) * comb(_p + _q, _p)
+    _GREEN[_i, 3 * _p + _q] = comb(_k + _l, _l) * comb(_p + _q - _k - _l, _q - _l) / _d
+
+
+def polygon_moments(verts, count):
+    """Integrals of x^p y^q, p, q <= 2, over padded polygon rows.
+
+    Row k of ``verts`` (P, w, 2) holds a counterclockwise polygon in its
+    first ``count[k]`` vertices. Returns M (P, 3, 3) with M[k, p, q] the
+    integral of x^p y^q over polygon k, exact up to rounding (Green's
+    theorem); rows with count 0 give zeros.
+    """
+    v = np.asarray(verts, dtype=float)
+    P, w = v.shape[:2]
+    col = np.arange(w)
+    count = np.asarray(count)[:, None]
+    # edges about each row's first vertex o, so that rounding scales with
+    # the polygon's size and not with its distance from the origin
+    o = v[:, 0]
+    a = v - o[:, None]
+    b = np.take_along_axis(a, np.where(col + 1 < count, col + 1, 0)[..., None], axis=1)
+    cross = np.where(col < count, a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1], 0.0)
+    ex = cross[..., None] * _terms(b[..., 0], a[..., 0])
+    local = (np.swapaxes(ex, 1, 2) @ _terms(b[..., 1], a[..., 1])).reshape(P, 36) @ _GREEN
+    # back to the origin: x^p = sum_k C(p, k) o^(p-k) (x - o)^k
+    s = np.zeros((2, P, 3, 3))
+    s[:, :, _PK[:, 0], _PK[:, 1]] = _terms(np.ones((2, P)), o.T) * [comb(*pk) for pk in _PK]
+    return s[0] @ local.reshape(P, 3, 3) @ np.swapaxes(s[1], 1, 2)
+
+
 def fan_triangulate(poly):
     """Split a convex polygon into triangles fanned from the vertex mean.
 
@@ -258,30 +291,3 @@ def fan_triangulate(poly):
     tris[:, 1] = p
     tris[:, 2] = np.roll(p, -1, axis=0)
     return tris
-
-
-def fan_triangulate_batch(verts, count):
-    """fan_triangulate of each padded row, rows concatenated in order.
-
-    Row k contributes ``count[k]`` (>= 3) triangles, bitwise equal to
-    ``fan_triangulate(verts[k, :count[k]])``. Returns a (sum(count), 3, 2)
-    array.
-    """
-    start = np.cumsum(count) - count
-    tris = np.empty((int(count.sum()), 3, 2))
-    for n in np.unique(count):
-        rows = np.flatnonzero(count == n)
-        p = verts[rows, :n]
-        at = (start[rows, None] + np.arange(n)).ravel()
-        tris[at, 0] = np.repeat(p.mean(axis=1), n, axis=0)
-        tris[at, 1] = p.reshape(-1, 2)
-        tris[at, 2] = np.roll(p, -1, axis=1).reshape(-1, 2)
-    return tris
-
-
-def triangle_areas(tris):
-    """Signed areas of an (n, 3, 2) triangle array."""
-    t = np.asarray(tris, dtype=float)
-    u = t[:, 1] - t[:, 0]
-    v = t[:, 2] - t[:, 0]
-    return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])

@@ -4,10 +4,9 @@ The benchmark drivers tie the pieces together: build the background and
 immersed meshes at a level, assemble the coupled system, solve it and
 measure errors, either against a closed-form solution (disk benchmark)
 or against the level k+2 solution of the same run (self convergence).
-Levels of a study are independent and can be solved in parallel.
+Levels of a study are independent; they are solved one after another.
 """
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,7 +211,12 @@ def run_study(
 
     Set ``extra_reference_levels=0`` to skip the multiplier column's
     deeper solves (rows remain NaN where no reference exists).
+
+    ``threads`` (>= 1) has no effect: levels are solved one after another,
+    since a thread pool bought no speed (the solves hold the GIL).
     """
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     beta, beta2 = problems.CASES[case]
     exact = problems.exact_solution(example, case)
     self_conv = exact is None
@@ -225,16 +229,10 @@ def run_study(
     im_meshes = build_mesh_sequence(problems.immersed_spec(example, im_base), total)
     g = exact["u1"] if exact else None
 
-    def solve_one(k):
-        return solve_level(
-            bg_meshes[k], im_meshes[k], element, beta, beta2, f=f, f2=f2, g=g
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            data = list(pool.map(solve_one, range(total)))
-    else:
-        data = [solve_one(k) for k in range(total)]
+    data = [
+        solve_level(bg_meshes[k], im_meshes[k], element, beta, beta2, f=f, f2=f2, g=g)
+        for k in range(total)
+    ]
 
     res = StudyResult(example=example, case=case, element=element, immersed_base=im_base)
     res.errors = {c: [] for c in ERROR_COLUMNS}

@@ -74,6 +74,7 @@ def test_config_validation(tmp_path):
         {"levels": 0},
         {"ratio": -1.0},
         {"base_cells": 1},
+        {"infsup_base": -1},
         {"threads": 0},
         {"example": 7},
         {"case": 5},

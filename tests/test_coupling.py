@@ -2,15 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddlm import problems
 from fddlm.coupling import (
-    _TRI_DEGREE,
     CoverageError,
     _grid,
-    _triangle_quadrature,
     assemble_C1,
     assemble_C2,
     build_intersections,
@@ -32,33 +31,38 @@ def test_fragments_of_offset_cell():
     table = build_intersections(t2, t)
     assert table.cell.tolist() == [0, 0, 0, 0]
     assert table.bg_cell.tolist() == [0, 1, 2, 3]
-    areas = np.add.reduceat(table.weights, table.ptr[:-1])
+    areas = table.moments[:, 0, 0]
     assert areas == pytest.approx([0.5625, 0.1875, 0.1875, 0.0625], abs=1e-14)
-    assert np.all(table.weights > 0)
     assert table.num_fragments == 4
 
 
-def per_pair_table(t2, t):
-    """The coupling table clipped one (immersed, background) pair at a
-    time with clip_convex and fan_triangulate."""
+def fan_rule(piece):
+    """Points and weights of the degree-4 triangle rule on the fan of a
+    convex piece; exact for the Q2 basis on an affine background cell."""
+    tris = fan_triangulate(piece)
+    rule = gauss_triangle(4)
+    a, b, c = tris[:, None, 0], tris[:, None, 1], tris[:, None, 2]
+    pts = a + rule.points[:, :1] * (b - a) + rule.points[:, 1:] * (c - a)
+    u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    return pts.reshape(-1, 2), np.outer(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], rule.weights).ravel()
+
+
+def per_pair_fragments(t2, t):
+    """(immersed cell, background cell, fan_rule points, weights) of every
+    non-empty piece, clipped one pair at a time with clip_convex."""
     origin, h, tol, index = _grid(t)
     polys = t2.nodes[t2.cells]
     top = np.array(index.shape[::-1]) - 1
     first = np.clip(np.floor((polys.min(axis=1) - origin - tol) / h), 0, top).astype(np.int64)
     last = np.clip(np.floor((polys.max(axis=1) - origin + tol) / h), 0, top).astype(np.int64)
-    cell, bg_cell, tris = [], [], []
+    out = []
     for i in range(t2.num_cells):
         (c0, r0), (c1, r1) = first[i], last[i]
         for c in np.sort(index[r0 : r1 + 1, c0 : c1 + 1], axis=None):
             piece = clip_convex(polys[i], t.nodes[t.cells[c]])
             if piece is not None:
-                cell.append(i)
-                bg_cell.append(c)
-                tris.append(fan_triangulate(piece))
-    rule = gauss_triangle(_TRI_DEGREE)
-    points, weights = _triangle_quadrature(np.concatenate(tris), rule)
-    ptr = rule.npoints * np.cumsum([0] + [len(x) for x in tris])
-    return np.array(cell), np.array(bg_cell), ptr, points, weights
+                out.append((i, c, *fan_rule(piece)))
+    return out
 
 
 @pytest.mark.parametrize("example", [3, 4])
@@ -66,29 +70,49 @@ def test_table_matches_per_pair_clipping(example):
     bg = build_mesh_sequence(problems.background_spec(example, 16), 3)
     base = problems.immersed_base_for_ratio(example, bg[0].h, 1.0)
     im = build_mesh_sequence(problems.immersed_spec(example, base), 3)
+    e = np.arange(3)
     for t, t2 in zip(bg, im):
         table = build_intersections(t2, t)
-        got = (table.cell, table.bg_cell, table.ptr, table.points, table.weights)
-        for a, b in zip(got, per_pair_table(t2, t)):
-            assert np.array_equal(a, b)
+        frags = per_pair_fragments(t2, t)
+        cell = np.array([f[0] for f in frags])
+        bg_cell = np.array([f[1] for f in frags])
+        assert np.array_equal(table.cell, cell)
+        assert np.array_equal(table.bg_cell, bg_cell)
+        X = t.nodes[t.cells[bg_cell]]
+        xis = [(pts - x[0]) / (x[2] - x[0]) for (_, _, pts, _), x in zip(frags, X)]
+        ref = np.array(
+            [
+                np.einsum("k,kp,kq->pq", wts, xi[:, :1] ** e, xi[:, 1:] ** e)
+                for (_, _, _, wts), xi in zip(frags, xis)
+            ]
+        )
+        assert np.abs(table.moments - ref).max() <= 1e-13 * np.abs(ref).max()
+        lh = build_space(t2, P0)
+        for fam in (Q1, Q2):
+            vh = build_space(t, fam)
+            vals = [wts @ basis_matrix(fam, xi) for (_, _, _, wts), xi in zip(frags, xis)]
+            oracle = sp.coo_matrix(
+                (np.ravel(vals), (np.repeat(cell, fam.ndofs), vh.dof_map[bg_cell].ravel())),
+                shape=(lh.ndofs, vh.ndofs),
+            ).tocsr()
+            C1 = assemble_C1(table, lh, vh)
+            assert abs(C1 - oracle).max() <= 1e-13 * abs(oracle).max()
 
 
 @pytest.mark.parametrize("fam", [Q1, Q2])
 def test_c1_matches_per_fragment_newton_oracle(fam):
-    # the per-fragment path: Newton inverse of the bilinear background
-    # cell map, basis values and weights, one fragment at a time
+    # the per-fragment path: triangle rule on each clipped piece, Newton
+    # inverse of the bilinear background cell map, basis values and
+    # weights, one fragment at a time
     t = build_mesh(DomainSpec("rectangle", bounds=(-1.3, 1.4, -1.35, 1.3), base_cells=8), 1)
     t2 = build_mesh(DomainSpec("flower", base_cells=3), 1)
-    table = build_intersections(t2, t)
     lh = build_space(t2, P0)
     vh = build_space(t, fam)
     oracle = np.zeros((lh.ndofs, vh.ndofs))
-    for k in range(table.num_fragments):
-        q = slice(table.ptr[k], table.ptr[k + 1])
-        c = table.bg_cell[k]
-        refs = CellMap(t.nodes[t.cells[c]]).inverse(table.points[q])
-        oracle[table.cell[k], vh.dof_map[c]] += table.weights[q] @ basis_matrix(fam, refs)
-    C1 = assemble_C1(table, lh, vh).toarray()
+    for i, c, pts, wts in per_pair_fragments(t2, t):
+        refs = CellMap(t.nodes[t.cells[c]]).inverse(pts)
+        oracle[i, vh.dof_map[c]] += wts @ basis_matrix(fam, refs)
+    C1 = assemble_C1(build_intersections(t2, t), lh, vh).toarray()
     assert np.abs(C1 - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -164,7 +188,7 @@ def test_small_cells_far_from_origin_are_covered():
         t2 = patch(x0, x0 + side, y0, y0 + side)
         assert t2.cell_areas() == pytest.approx([side * side], rel=1e-12)
         table = build_intersections(t2, t)
-        assert table.weights.sum() == pytest.approx(side * side, rel=1e-12)
+        assert table.moments[:, 0, 0].sum() == pytest.approx(side * side, rel=1e-12)
 
 
 def test_c1_single_cell_oracle():

@@ -1,0 +1,30 @@
+"""Smoke test: the quick demos run to completion.
+
+Demos 04 and 05 take tens of seconds each; the inf-sup and convergence
+paths they narrate are covered by the acceptance and CLI tests.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "name", ["01_mesh_gallery", "02_coupling_quadrature", "03_interface_solve"]
+)
+def test_demo_runs(name):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{name}.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

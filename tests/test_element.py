@@ -90,7 +90,7 @@ def test_gauss_square_exactness():
     # closed form: int_[0,1]^2 x^a y^b = 1 / ((a+1)(b+1))
     for n in range(1, 7):
         rule = gauss_square(n)
-        assert rule.npoints == n * n
+        assert len(rule.weights) == n * n
         assert np.all(rule.weights > 0)
         assert rule.weights.sum() == pytest.approx(1.0, abs=1e-14)
         assert np.all((rule.points >= 0) & (rule.points <= 1))
@@ -123,7 +123,7 @@ def test_gauss_triangle_exactness():
                 assert val == pytest.approx(exact, abs=1e-13)
     # degree-3 requests get the 6-point degree-4 rule (all weights positive)
     r3 = gauss_triangle(3)
-    assert r3.degree == 4 and r3.npoints == 6
+    assert r3.degree == 4 and len(r3.weights) == 6
     with pytest.raises(ValueError):
         gauss_triangle(6)
 

@@ -1,4 +1,7 @@
-"""Clipping and triangulation checked against closed-form areas."""
+"""Clipping, triangulation and polygon moments checked against closed forms
+and against a triangle-rule oracle."""
+
+from math import factorial
 
 import numpy as np
 import pytest
@@ -6,14 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from fddlm.element import gauss_triangle
 from fddlm.geometry import (
     clip_convex,
     clip_convex_batch,
     fan_triangulate,
-    fan_triangulate_batch,
-    is_ccw_convex,
+    polygon_moments,
     signed_area,
-    triangle_areas,
 )
 
 
@@ -25,6 +27,19 @@ def random_convex(rng, n=10, scale=1.0, shift=(0.0, 0.0)):
     """Convex hull of random points; scipy returns 2d hulls counterclockwise."""
     pts = rng.standard_normal((n, 2)) * scale + np.asarray(shift)
     return pts[ConvexHull(pts).vertices]
+
+
+def is_ccw_convex(poly, tol=1e-12):
+    """Counterclockwise and convex: consecutive-edge cross products are all
+    >= -tol * diag^2 (diag the bounding-box diagonal), so nearly collinear
+    vertices pass."""
+    p = np.asarray(poly, dtype=float)
+    if p.shape[0] < 3:
+        return False
+    d = np.roll(p, -1, axis=0) - p
+    cross = d[:, 0] * np.roll(d[:, 1], -1) - d[:, 1] * np.roll(d[:, 0], -1)
+    scale = np.linalg.norm(p.max(axis=0) - p.min(axis=0))
+    return bool(np.all(cross >= -tol * scale * scale)) and signed_area(p) > 0.0
 
 
 def min_signed_distance(pts, poly):
@@ -141,14 +156,9 @@ def test_fan_triangulation_conserves_area():
         poly = random_convex(rng, 12)
         tris = fan_triangulate(poly)
         assert tris.shape == (len(poly), 3, 2)
-        areas = triangle_areas(tris)
+        areas = np.array([signed_area(t) for t in tris])
         assert np.all(areas > 0)
         assert areas.sum() == pytest.approx(signed_area(poly), rel=1e-13)
-
-
-def test_triangle_areas_signs():
-    t = np.array([[[0, 0], [1, 0], [0, 1]], [[0, 0], [0, 1], [1, 0]]], dtype=float)
-    assert triangle_areas(t) == pytest.approx([0.5, -0.5], abs=1e-15)
 
 
 def affine_quad(center, size, angle, shear, aspect, angles=None):
@@ -226,7 +236,6 @@ def test_batch_clip_matches_clip_convex_row_by_row(pairs):
     clippers = np.array([p[1] for p in pairs])
     verts, count = clip_convex_batch(subjects, clippers)
     assert verts.shape[0] == count.shape[0] == len(pairs)
-    fans = []
     for k, (p, q) in enumerate(pairs):
         ref = clip_convex(p, q)
         if ref is None:
@@ -234,10 +243,6 @@ def test_batch_clip_matches_clip_convex_row_by_row(pairs):
         else:
             assert count[k] == len(ref)
             assert np.array_equal(verts[k, : count[k]], ref)
-            fans.append(fan_triangulate(ref))
-    hit = count > 0
-    tris = fan_triangulate_batch(verts[hit], count[hit])
-    assert np.array_equal(tris, np.concatenate(fans or [np.empty((0, 3, 2))]))
 
 
 def test_batch_clip_special_rows():
@@ -258,3 +263,62 @@ def test_batch_clip_special_rows():
         assert (ref is None) == (count[k] == 0)
         if ref is not None:
             assert np.array_equal(verts[k, : count[k]], ref)
+
+
+def fan_rule_moments(poly):
+    """int x^p y^q, p, q <= 2, by the degree-4 triangle rule on the fan."""
+    tris = fan_triangulate(poly)
+    rule = gauss_triangle(4)
+    a, b, c = tris[:, None, 0], tris[:, None, 1], tris[:, None, 2]
+    pts = (a + rule.points[:, :1] * (b - a) + rule.points[:, 1:] * (c - a)).reshape(-1, 2)
+    u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
+    wts = np.outer(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], rule.weights).ravel()
+    e = np.arange(3)
+    return np.einsum("k,kp,kq->pq", wts, pts[:, :1] ** e, pts[:, 1:] ** e)
+
+
+def test_polygon_moments_closed_forms():
+    unit = square(0, 0, 1, 1)
+    tri = np.array([[0, 0], [1, 0], [0, 1], [7, 7]], dtype=float)  # last row is padding
+    verts = np.array([unit, tri, np.full((4, 2), 3.0)])
+    M = polygon_moments(verts, np.array([4, 3, 0]))
+    e = np.arange(3)
+    assert M[0] == pytest.approx(1.0 / np.outer(e + 1, e + 1), abs=1e-15)
+    ref = [[factorial(p) * factorial(q) / factorial(p + q + 2) for q in e] for p in e]
+    assert M[1] == pytest.approx(np.array(ref), abs=1e-15)
+    assert np.array_equal(M[2], np.zeros((3, 3)))
+
+
+@st.composite
+def convex_polygons(draw):
+    """3 to 8 vertices on an ellipse, from round to slivers of aspect
+    1e-6, sizes 1e-3..10 up to ~4e3 from the origin."""
+    n = draw(st.integers(3, 8))
+    angles = np.sort(draw(st.lists(unit, min_size=n, max_size=n, unique=True))) * 2 * np.pi
+    size = 10.0 ** draw(st.floats(-3, 1))
+    aspect = 10.0 ** draw(st.floats(-6, 0))
+    center = np.array(draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)))) * 10.0 ** draw(
+        st.floats(-1, 3)
+    )
+    rot = draw(unit) * 2 * np.pi
+    c, s = np.cos(rot), np.sin(rot)
+    ref = np.column_stack([np.cos(angles), aspect * np.sin(angles)]) * size
+    return ref @ np.array([[c, s], [-s, c]]) + center
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys=st.lists(convex_polygons(), min_size=1, max_size=10))
+def test_polygon_moments_match_fan_triangle_rule(polys):
+    count = np.array([len(p) for p in polys])
+    verts = np.zeros((len(polys), 8, 2))
+    for k, p in enumerate(polys):
+        verts[k, : len(p)] = p
+    M = polygon_moments(verts, count)
+    e = np.arange(3)
+    for k, p in enumerate(polys):
+        # rounding of either route is a few ulps of diag^2 R^(p+q): the
+        # diagonal's square bounds the area, R bounds |x| and |y|
+        diag = np.linalg.norm(p.max(axis=0) - p.min(axis=0))
+        R = np.abs(p).max()
+        tol = 1e-13 * diag**2 * R ** np.add.outer(e, e)
+        assert np.all(np.abs(M[k] - fan_rule_moments(p)) <= tol)
