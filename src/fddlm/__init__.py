@@ -8,8 +8,7 @@ neither mesh needs to fit the interface.
 """
 
 from .coupling import CouplingTable, CoverageError, assemble_C1, assemble_C2, build_intersections
-from .element import P0, Q1, Q1B, Q2, CellMap, gauss_square, gauss_triangle
-from .geometry import clip_convex, fan_triangulate, signed_area
+from .element import P0, Q1, Q1B, Q2, CellMap, gauss_square
 from .infsup import InfSupReport, infsup_constant, infsup_sweep
 from .mesh import DomainSpec, QuadMesh, build_mesh, refine_uniform
 from .runner import run_study, solve_level
@@ -39,10 +38,6 @@ __all__ = [
     "Q2",
     "CellMap",
     "gauss_square",
-    "gauss_triangle",
-    "clip_convex",
-    "fan_triangulate",
-    "signed_area",
     "InfSupReport",
     "infsup_constant",
     "infsup_sweep",

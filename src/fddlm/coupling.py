@@ -4,22 +4,25 @@ The multiplier pairing restricted to the background space needs integrals
 of background basis functions over immersed cells. The background mesh
 must be a uniform axis-aligned grid (others are rejected with ValueError),
 so the background cells an immersed cell may overlap follow by index
-arithmetic from its bounding box. All (immersed, background) candidate
-pairs are clipped in one batched pass (exact convex polygon intersection,
-``geometry.clip_convex_batch``). The background cell maps are affine, so
-each piece is mapped into the reference square of its background cell
-and its monomial moments of bidegree <= 2 are taken by Green's theorem
-(``geometry.polygon_moments``). The Q1, Q1+bubble and Q2 bases are
-polynomials of bidegree <= 2 there, so C1 is one product of the moments
-with the bases' monomial coefficients. Nothing on cut cells is sampled or
-approximated; the integrals are exact up to floating point rounding.
+arithmetic from its bounding box, and clipping an immersed cell against
+one of them is four cuts by grid lines (``geometry.clip_to_boxes``), all
+(immersed, background) candidate pairs in one batched pass. The
+background cell maps are affine, so each piece is mapped into the
+reference square of its background cell and its monomial moments of
+bidegree <= 2 are taken by Green's theorem (``geometry.polygon_moments``).
+A piece whose area, the moment M00, is below ``SLIVER_RTOL`` of its
+immersed cell's area is a sliver of a cell that touches a grid line, and
+is dropped. The Q1, Q1+bubble and Q2 bases are polynomials of bidegree
+<= 2 there, so C1 is one product of the moments with the bases' monomial
+coefficients. Nothing on cut cells is sampled or approximated; the
+integrals are exact up to floating point rounding.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .geometry import clip_convex_batch, polygon_moments
+from .geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
 
 __all__ = [
     "CouplingTable",
@@ -37,6 +40,10 @@ _COVERAGE_RTOL = 1e-10
 # uniform only up to rounding, and bounding boxes are padded by the same
 # amount so that a cell touched within rounding is still a candidate
 _GRID_RTOL = 1e-9
+# the immersed bases have bidegree <= 2 and the Jacobian determinant of a
+# bilinear cell map bidegree <= 1, so the integrands of C2 have bidegree
+# <= 3 and the 3-point Gauss rule (exact to 5 per direction) is exact
+_C2_RULE = el.gauss_square(3)
 
 
 class CoverageError(RuntimeError):
@@ -97,11 +104,13 @@ def build_intersections(t2, t):
 
     The candidates of an immersed cell are the background cells of its
     padded index box. All (immersed, background) candidate pairs, ordered
-    by immersed cell and then background cell index, are clipped at once
-    by ``clip_convex_batch``, which gives bitwise the pieces ``clip_convex``
-    gives pair by pair. Each non-empty piece, in the reference coordinates
+    by immersed cell and then background cell index, are cut at once by
+    the four grid lines of their background cell (``clip_to_boxes``).
+    Each non-empty piece, in the reference coordinates
     (xi, eta) = (x - lower left) / extent of its background cell, gets the
-    moments of xi^p eta^q for p, q <= 2, scaled back to physical area.
+    moments of xi^p eta^q for p, q <= 2, scaled back to physical area. A
+    piece whose area M00 is below ``SLIVER_RTOL`` times the area of its
+    immersed cell is a sliver and is dropped.
 
     Parameters
     ----------
@@ -136,14 +145,16 @@ def build_intersections(t2, t):
     order = np.lexsort((bg_cell, cell))
     cell, bg_cell = cell[order], bg_cell[order]
     quads = t.nodes[t.cells[bg_cell]]
-    verts, count = clip_convex_batch(polys[cell], quads)
+    verts, count = clip_to_boxes(polys[cell], quads[:, 0], quads[:, 2])
     hit = count > 0
     cell, bg_cell, count, quads = cell[hit], bg_cell[hit], count[hit], quads[hit]
     lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
     ref = (verts[hit] - lo[:, None]) / ext[:, None]
     moments = polygon_moments(ref, count) * ext.prod(axis=1)[:, None, None]
-    covered = np.bincount(cell, weights=moments[:, 0, 0], minlength=t2.num_cells)
     target = np.abs(t2.cell_areas())
+    solid = moments[:, 0, 0] >= SLIVER_RTOL * target[cell]
+    cell, bg_cell, moments = cell[solid], bg_cell[solid], moments[solid]
+    covered = np.bincount(cell, weights=moments[:, 0, 0], minlength=t2.num_cells)
     bad = np.flatnonzero(np.abs(covered - target) > _COVERAGE_RTOL * target)
     if bad.size:
         i = bad[0]
@@ -184,7 +195,7 @@ def assemble_C1(table, lambda_space, vh_space):
     return mat.tocsr()
 
 
-def assemble_C2(lambda_space, v2_space, quad=None):
+def assemble_C2(lambda_space, v2_space):
     """Multiplier pairing with the immersed space (same mesh, no clipping).
 
     Entry (i, j) = integral over cell i of immersed basis function j.
@@ -194,16 +205,14 @@ def assemble_C2(lambda_space, v2_space, quad=None):
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("lambda and immersed spaces must share a mesh")
-    if quad is None:
-        quad = el.gauss_square(3)
     mesh = v2_space.mesh
     fam = v2_space.family
-    phi = el.basis_matrix(fam, quad.points)
-    dN = el.grad_matrix(el.Q1, quad.points)
+    phi = el.basis_matrix(fam, _C2_RULE.points)
+    dN = el.grad_matrix(el.Q1, _C2_RULE.points)
     X = mesh.nodes[mesh.cells]
     J = np.einsum("mla,qlb->mqab", X, dN)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
-    vals = np.einsum("q,mq,qj->mj", quad.weights, det, phi)
+    vals = np.einsum("q,mq,qj->mj", _C2_RULE.weights, det, phi)
     rows = np.repeat(np.arange(mesh.num_cells), fam.ndofs)
     mat = sp.coo_matrix(
         (vals.ravel(), (rows, v2_space.dof_map.ravel())),

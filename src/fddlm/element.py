@@ -28,7 +28,6 @@ __all__ = [
     "grad_matrix",
     "QuadratureRule",
     "gauss_square",
-    "gauss_triangle",
     "CellMap",
 ]
 
@@ -180,50 +179,6 @@ def gauss_square(n):
     W = np.outer(w, w)
     pts = np.column_stack([X.ravel(), Y.ravel()])
     return QuadratureRule(pts, W.ravel(), 2 * n - 1)
-
-
-# Symmetric rules on the reference triangle (0,0), (1,0), (0,1); weights
-# sum to the measure 1/2 and are all positive. The classical 4-point
-# degree-3 rule has a negative weight, so degree-3 requests get the
-# 6-point degree-4 rule.
-_TRI_D4_A1 = 0.445948490915965
-_TRI_D4_W1 = 0.223381589678011
-_TRI_D4_A2 = 0.091576213509771
-_TRI_D4_W2 = 0.109951743655322
-_TRI_D5_A1 = 0.470142064105115
-_TRI_D5_W1 = 0.132394152788506
-_TRI_D5_A2 = 0.101286507323456
-_TRI_D5_W2 = 0.125939180544827
-
-
-def _tri_orbit(a):
-    """The three permutation points of barycentric (1-2a, a, a) in xy."""
-    return [(a, a), (1.0 - 2.0 * a, a), (a, 1.0 - 2.0 * a)]
-
-
-def gauss_triangle(degree):
-    """Symmetric positive-weight rule on the unit reference triangle.
-
-    Exact for total degree <= degree, 1 <= degree <= 5.
-    """
-    d = int(degree)
-    if not 1 <= d <= 5:
-        raise ValueError(f"gauss_triangle: degree must be in 1..5, got {degree}")
-    if d == 1:
-        pts = [(1.0 / 3.0, 1.0 / 3.0)]
-        wts = [0.5]
-    elif d == 2:
-        pts = [(1.0 / 6.0, 1.0 / 6.0), (2.0 / 3.0, 1.0 / 6.0), (1.0 / 6.0, 2.0 / 3.0)]
-        wts = [1.0 / 6.0] * 3
-    elif d in (3, 4):
-        pts = _tri_orbit(_TRI_D4_A1) + _tri_orbit(_TRI_D4_A2)
-        wts = [0.5 * _TRI_D4_W1] * 3 + [0.5 * _TRI_D4_W2] * 3
-        d = 4
-    else:
-        pts = [(1.0 / 3.0, 1.0 / 3.0)]
-        pts += _tri_orbit(_TRI_D5_A1) + _tri_orbit(_TRI_D5_A2)
-        wts = [0.5 * 0.225] + [0.5 * _TRI_D5_W1] * 3 + [0.5 * _TRI_D5_W2] * 3
-    return QuadratureRule(np.asarray(pts, dtype=float), np.asarray(wts), d)
 
 
 class CellMap:

@@ -14,11 +14,11 @@ from fddlm.coupling import (
     assemble_C2,
     build_intersections,
 )
-from fddlm.element import P0, Q1, Q1B, Q2, CellMap, basis_matrix, gauss_triangle
-from fddlm.geometry import clip_convex, fan_triangulate
+from fddlm.element import P0, Q1, Q1B, Q2, CellMap, basis_matrix
 from fddlm.mesh import DomainSpec, QuadMesh, build_mesh
 from fddlm.runner import build_mesh_sequence
 from fddlm.space import build_space
+from oracles import clip_convex, fan_rule
 
 
 def patch(x0, x1, y0, y1, n=1):
@@ -36,20 +36,11 @@ def test_fragments_of_offset_cell():
     assert table.num_fragments == 4
 
 
-def fan_rule(piece):
-    """Points and weights of the degree-4 triangle rule on the fan of a
-    convex piece; exact for the Q2 basis on an affine background cell."""
-    tris = fan_triangulate(piece)
-    rule = gauss_triangle(4)
-    a, b, c = tris[:, None, 0], tris[:, None, 1], tris[:, None, 2]
-    pts = a + rule.points[:, :1] * (b - a) + rule.points[:, 1:] * (c - a)
-    u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-    return pts.reshape(-1, 2), np.outer(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], rule.weights).ravel()
-
-
 def per_pair_fragments(t2, t):
     """(immersed cell, background cell, fan_rule points, weights) of every
-    non-empty piece, clipped one pair at a time with clip_convex."""
+    non-empty piece, clipped one pair at a time with clip_convex. The
+    degree-4 fan rule is exact for the Q2 basis on an affine background
+    cell."""
     origin, h, tol, index = _grid(t)
     polys = t2.nodes[t2.cells]
     top = np.array(index.shape[::-1]) - 1
@@ -156,6 +147,22 @@ def test_pairs_match_brute_force_clipping(origin, width, aspect, base, level, co
         if clip_convex(t2.nodes[t2.cells[a]], t.nodes[t.cells[b]]) is not None
     ]
     assert pairs == brute
+
+
+@pytest.mark.parametrize("poke", [1e-11, 1e-10, 1e-9])
+def test_corner_slivers_are_dropped(poke):
+    # a diamond whose four corners poke past the grid lines of its cell
+    # clips to a triangle of area ~poke^2 in each neighbour; below
+    # SLIVER_RTOL of the cell area, they hold no fragment
+    t = patch(-1, 2, -1, 2, n=3)
+    r = 0.5 + poke
+    diamond = np.array([[0.5 + r, 0.5], [0.5, 0.5 + r], [0.5 - r, 0.5], [0.5, 0.5 - r]])
+    t2 = QuadMesh(diamond, [[3, 0, 1, 2]])
+    table = build_intersections(t2, t)
+    hits = [c for c in range(t.num_cells) if clip_convex(diamond, t.nodes[t.cells[c]]) is not None]
+    assert len(hits) == 1  # the diamond's own cell
+    assert table.cell.tolist() == [0]
+    assert table.bg_cell.tolist() == hits
 
 
 def test_non_grid_background_rejected():

@@ -1,22 +1,16 @@
-"""Clipping, triangulation and polygon moments checked against closed forms
-and against a triangle-rule oracle."""
+"""Clipping and polygon moments checked against closed forms, the general
+one-pair clipper and a triangle-rule oracle."""
 
 from math import factorial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fddlm.element import gauss_triangle
-from fddlm.geometry import (
-    clip_convex,
-    clip_convex_batch,
-    fan_triangulate,
-    polygon_moments,
-    signed_area,
-)
+from fddlm.geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
+from oracles import clip_convex, fan_rule, fan_triangulate, signed_area
 
 
 def square(x0, y0, x1, y1):
@@ -184,95 +178,105 @@ quad_params = st.tuples(
 
 
 @st.composite
-def quad_pairs(draw):
-    # the small sizes put quads far from the origin relative to their size
+def quad_boxes(draw):
+    """A convex quad and an axis-aligned box: overlapping at random, nested,
+    or touching along a grid line or at a box corner, exactly or within
+    1e-14..1e-9 of the quad's size on either side. Sizes 1e-3..10, up to
+    400 sizes from the origin."""
     size = 10.0 ** draw(st.floats(-3, 1))
-    center = np.array(draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)))) * 10.0 ** draw(
-        st.floats(-1, 3)
+    center = np.array(draw(st.tuples(st.floats(-4, 4), st.floats(-4, 4)))) * (
+        size * 10.0 ** draw(st.floats(0, 2))
     )
-    shear, aspect, rot, angles = draw(quad_params)
-    subject = affine_quad(center, size, rot * 2 * np.pi, shear, aspect, angles)
-    kind = draw(
-        st.sampled_from(["random", "grid", "identical", "nested", "edge", "corner", "near"])
-    )
-    if kind == "random":
-        shift = np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))) * size
-        shear, aspect, rot, angles = draw(quad_params)
-        clipper = affine_quad(
-            center + shift, size * draw(st.floats(0.3, 3)), rot * 2 * np.pi, shear, aspect, angles
-        )
-    elif kind == "grid":
-        shift = np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))) * size
-        clipper = affine_quad(center + shift, size * draw(st.floats(0.3, 3)), 0.0, 0.0, 1.0)
-    elif kind == "identical":
-        clipper = subject.copy()
-    elif kind == "nested":
-        factor = draw(st.sampled_from([0.25, 0.9, 1.1, 4.0]))
-        mid = subject.mean(axis=0)
-        clipper = mid + factor * (subject - mid)
-    else:
-        # translate by one edge (shared edge) or by the sum of two edges
-        # (shared corner); the quad is a parallelogram or not, so the
-        # contact is exact or within rounding or a real overlap. "near"
-        # adds an offset of 1e-14 to 1e-9 of the size, on both sides of
-        # the on-edge tolerance
-        k = draw(st.integers(0, 3))
-        e = subject[(k + 1) % 4] - subject[k]
-        if kind == "corner":
-            e = e + subject[(k + 2) % 4] - subject[(k + 1) % 4]
-        if kind == "near":
-            phi = draw(unit) * 2 * np.pi
-            e = e + size * 10.0 ** draw(st.floats(-14, -9)) * np.array([np.cos(phi), np.sin(phi)])
-        clipper = subject + e
     if draw(st.booleans()):
-        subject, clipper = clipper, subject
-    return subject, clipper
+        shear, aspect, rot, angles = draw(quad_params)
+    else:  # a grid-aligned rectangle, with edges on the box's lines
+        shear, aspect, rot, angles = 0.0, draw(st.floats(0.3, 3)), 0.0, None
+    quad = affine_quad(center, size, rot * 2 * np.pi, shear, aspect, angles)
+    # a mesh cell: no vertices within EDGE_RTOL of each other, which the
+    # oracle merges and so moves its piece by up to ~EDGE_RTOL diag^2
+    edges = np.roll(quad, -1, axis=0) - quad
+    assume(np.hypot(edges[:, 0], edges[:, 1]).min() > 1e-3 * size)
+    qlo, qhi = quad.min(axis=0), quad.max(axis=0)
+    kind = draw(st.sampled_from(["random", "nested", "edge", "corner"]))
+    if kind == "random":
+        mid = center + np.array(draw(st.tuples(st.floats(-1, 1), st.floats(-1, 1)))) * size
+        half = np.array(draw(st.tuples(st.floats(0.1, 2), st.floats(0.1, 2)))) * size
+        return quad, mid - half, mid + half
+    if kind == "nested":
+        factor = draw(st.sampled_from([0.25, 0.9, 1.0, 1.1, 4.0]))
+        mid = (qlo + qhi) / 2
+        return quad, mid - factor * (mid - qlo), mid + factor * (qhi - mid)
+    # the box starts at the quad's extreme coordinate on one axis ("edge")
+    # or on both ("corner"), shifted by 0 or by +-1e-14..1e-9 of the size
+    axes = [draw(st.integers(0, 1))] if kind == "edge" else [0, 1]
+    lo = center - np.array(draw(st.tuples(st.floats(0.1, 2), st.floats(0.1, 2)))) * size
+    hi = center + np.array(draw(st.tuples(st.floats(0.1, 2), st.floats(0.1, 2)))) * size
+    for ax in axes:
+        shift = draw(st.sampled_from([0.0, -1.0, 1.0])) * size * 10.0 ** draw(st.floats(-14, -9))
+        width = draw(st.floats(0.1, 2)) * size
+        if draw(st.booleans()):  # the box lies beyond the quad's max
+            lo[ax] = qhi[ax] + shift
+            hi[ax] = lo[ax] + width
+        else:  # the box lies below the quad's min
+            hi[ax] = qlo[ax] - shift
+            lo[ax] = hi[ax] - width
+    return quad, lo, hi
 
 
-@settings(max_examples=60, deadline=None)
-@given(pairs=st.lists(quad_pairs(), min_size=1, max_size=25))
-def test_batch_clip_matches_clip_convex_row_by_row(pairs):
-    subjects = np.array([p[0] for p in pairs])
-    clippers = np.array([p[1] for p in pairs])
-    verts, count = clip_convex_batch(subjects, clippers)
-    assert verts.shape[0] == count.shape[0] == len(pairs)
-    for k, (p, q) in enumerate(pairs):
-        ref = clip_convex(p, q)
-        if ref is None:
-            assert count[k] == 0
-        else:
-            assert count[k] == len(ref)
-            assert np.array_equal(verts[k, : count[k]], ref)
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(quad_boxes(), min_size=1, max_size=25))
+def test_box_clip_matches_clip_convex(rows):
+    subjects = np.array([r[0] for r in rows])
+    lo = np.array([r[1] for r in rows])
+    hi = np.array([r[2] for r in rows])
+    verts, count = clip_to_boxes(subjects, lo, hi)
+    M = polygon_moments(verts, count)
+    # pieces below SLIVER_RTOL of the subject's area are dropped, as the
+    # coupling table drops them
+    area0 = polygon_moments(subjects, np.full(len(rows), 4))[:, 0, 0]
+    empty = (count == 0) | (M[:, 0, 0] < SLIVER_RTOL * area0)
+    M[empty] = 0.0
+    e = np.arange(3)
+    for k, (p, a, b) in enumerate(rows):
+        ref = clip_convex(p, square(a[0], a[1], b[0], b[1]))
+        assert empty[k] == (ref is None)
+        span = np.vstack([p, a, b])
+        diag = np.linalg.norm(span.max(axis=0) - span.min(axis=0))
+        R = np.abs(span).max()
+        if not empty[k]:
+            piece = verts[k, : count[k]]
+            assert is_ccw_convex(piece, tol=1e-9)
+            assert np.all(piece >= a - 1e-12 * diag) and np.all(piece <= b + 1e-12 * diag)
+        Mref = np.zeros((3, 3)) if ref is None else polygon_moments(ref[None], [len(ref)])[0]
+        # both clippers round each cut vertex to an ulp of its coordinates,
+        # so their moments agree to ~1e-16 R diag R^(p+q), inside the bound
+        # below while R / diag stays below ~1e3
+        tol = 1e-13 * diag**2 * R ** np.add.outer(e, e)
+        assert np.all(np.abs(M[k] - Mref) <= tol)
 
 
-def test_batch_clip_special_rows():
+def test_box_clip_special_rows():
     s = square(-1, -1, 1, 1)
     r2 = np.sqrt(2.0)
     diamond = np.array([[r2, 0], [0, r2], [-r2, 0], [0, -r2]])
-    flat = np.array([[0, 0], [1, 0], [2, 0], [1, 0]], dtype=float)  # zero area
-    pinched = np.array([[-1, -1], [1, -1], [1, -1], [-1, 1]], dtype=float)  # repeated vertex
-    closed = np.array([[-1, -1], [1, -1], [-1, 1], [-1, -1]], dtype=float)  # last = first
-    subjects = np.array([s, flat, s, s, s, diamond, pinched, closed])
-    clippers = np.array([diamond, s, square(2, 0, 3, 1), square(1, -1, 2, 1), pinched, s, s, s])
-    verts, count = clip_convex_batch(subjects, clippers)
-    # octagon, zero-area subject, disjoint, shared edge, zero-length clip
-    # edge, octagon, and the two dedupe cases (consecutive, cyclic)
-    assert count.tolist() == [8, 0, 0, 0, 3, 8, 3, 3]
-    for k in range(len(subjects)):
-        ref = clip_convex(subjects[k], clippers[k])
-        assert (ref is None) == (count[k] == 0)
-        if ref is not None:
-            assert np.array_equal(verts[k, : count[k]], ref)
+    subjects = np.array([diamond, s, s, s, s, diamond])
+    lo = np.array([[-1, -1], [-1, -1], [2, 0], [1, -1], [1, 1], [r2, -1]])
+    hi = np.array([[1, 1], [1, 1], [3, 1], [2, 1], [2, 2], [3, 1]])
+    verts, count = clip_to_boxes(subjects, lo, hi)
+    # octagon, identity, disjoint, shared edge, shared corner, and the
+    # diamond's corner on a box line
+    assert count.tolist() == [8, 4, 0, 0, 0, 0]
+    assert np.array_equal(verts[1, :4], s)
+    octagon = verts[0, :8]
+    assert signed_area(octagon) == pytest.approx(8 * r2 - 8, rel=1e-13)
+    # every cut vertex lies exactly on its grid line
+    on_line = np.isin(octagon, [-1.0, 1.0])
+    assert np.all(on_line.any(axis=1))
 
 
 def fan_rule_moments(poly):
     """int x^p y^q, p, q <= 2, by the degree-4 triangle rule on the fan."""
-    tris = fan_triangulate(poly)
-    rule = gauss_triangle(4)
-    a, b, c = tris[:, None, 0], tris[:, None, 1], tris[:, None, 2]
-    pts = (a + rule.points[:, :1] * (b - a) + rule.points[:, 1:] * (c - a)).reshape(-1, 2)
-    u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
-    wts = np.outer(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], rule.weights).ravel()
+    pts, wts = fan_rule(poly)
     e = np.arange(3)
     return np.einsum("k,kp,kq->pq", wts, pts[:, :1] ** e, pts[:, 1:] ** e)
 
