@@ -149,6 +149,7 @@ def cmd_solve(cfg):
         "h2": data.h2,
         "immersed_base": im_base,
         "dims": data.dims,
+        "stats": data.sol.stats,
         "residual": data.residual,
         "constraint_res": data.constraint_res,
         "lambda_mass": data.lambda_mass,
@@ -209,6 +210,7 @@ def cmd_convergence(cfg):
         "constraint_res": res.constraint_res,
         "lambda_mass": res.lambda_mass,
         "dims": res.dims,
+        "stats": res.stats,
     }
     with open(json_path, "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True, allow_nan=True)

@@ -97,6 +97,7 @@ class StudyResult:
     constraint_res: list = field(default_factory=list)
     lambda_mass: list = field(default_factory=list)
     dims: list = field(default_factory=list)
+    stats: list = field(default_factory=list)
     immersed_base: int = 0
 
 
@@ -245,6 +246,7 @@ def run_study(
         res.constraint_res.append(d.constraint_res)
         res.lambda_mass.append(d.lambda_mass)
         res.dims.append(d.dims)
+        res.stats.append(d.sol.stats)
         ref = data[k + 2] if k + 2 < total else None
         if exact is not None:
             e = error_norms(

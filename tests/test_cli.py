@@ -142,6 +142,14 @@ def test_solve_smoke(tmp_path, capsys):
     errs = summary["errors"]
     assert set(errs) == {"L2_u", "H1_u", "L2_u2", "H1_u2"}
     assert all(np.isfinite(v) and v > 0 for v in errs.values())
+    dims, stats = summary["dims"], summary["stats"]
+    assert set(stats) == {"unknowns", "factored", "eliminated", "lu_fill"}
+    assert all(isinstance(v, int) for v in stats.values())
+    assert stats["unknowns"] == dims["n"] + dims["n2"] + dims["m"]
+    # elm1: the bubbles and the multiplier are eliminated before the LU
+    assert stats["eliminated"] == 2 * dims["m"]
+    assert stats["factored"] == stats["unknowns"] - stats["eliminated"] < stats["unknowns"]
+    assert stats["lu_fill"] > 0
 
     vu = parse_vtk(out / "solution_u.vtk")
     assert vu["npoints"] == summary["dims"]["n"]  # q1: one dof per node
@@ -170,6 +178,12 @@ def test_convergence_smoke_and_determinism(tmp_path):
     assert len(data["errors"]["L2_u"]) == 3
     assert data["rates"]["L2_u"] > 0.5
     assert all(r <= 1e-10 for r in data["residuals"])
+    assert len(data["stats"]) == 3
+    for stats, dims in zip(data["stats"], data["dims"]):
+        assert set(stats) == {"unknowns", "factored", "eliminated", "lu_fill"}
+        assert stats["unknowns"] == dims["n"] + dims["n2"] + dims["m"]
+        assert stats["factored"] < stats["unknowns"]
+    assert "fill" not in csv1
 
     # identical rerun into the same directory is byte identical
     assert main(["convergence", "--config", cfg, "--output", str(out)]) == 0

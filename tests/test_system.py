@@ -5,9 +5,12 @@ import pytest
 import scipy.sparse.linalg as spla
 from scipy.integrate import dblquad
 
+import fddlm.system as system_module
+from fddlm import problems
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
 from fddlm.element import P0, Q1, Q2, CellMap, gauss_square, grad_matrix
 from fddlm.mesh import DomainSpec, build_mesh
+from fddlm.runner import ELEMENTS, solve_level
 from fddlm.space import build_space, dirichlet_bc
 from fddlm.system import (
     BlockSystem,
@@ -21,6 +24,7 @@ from fddlm.system import (
     assemble_stiffness,
     error_norms,
     full_matrix,
+    interior_columns,
     multiplier_error,
     project_p0,
     solve_saddle,
@@ -51,9 +55,14 @@ def element_matrix(space, mat):
 
 def toy_system(element="elm1", beta=1.0, beta2=10.0, f=1.0, f2=1.0):
     """The 4x4-on-[0,2]^2 / 2x2-on-[0.5,1.5]^2 toy pairing."""
-    fam_h, fam_2 = {"elm1": (Q1, "q1b"), "q1q1p0": (Q1, Q1)}[element]
     t = build_mesh(DomainSpec("rectangle", bounds=(0, 2, 0, 2), base_cells=4))
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0.5, 1.5, 0.5, 1.5), base_cells=2))
+    return coupled_system(t, t2, element, beta, beta2, f, f2)
+
+
+def coupled_system(t, t2, element, beta, beta2, f=1.0, f2=1.0):
+    """Assembled blocks and spaces of one mesh pair, as solve_level builds them."""
+    fam_h, fam_2 = ELEMENTS[element]
     vh = build_space(t, fam_h)
     v2 = build_space(t2, fam_2)
     lh = build_space(t2, P0)
@@ -178,16 +187,20 @@ def test_zero_rhs_gives_zero_solution():
 
 
 def test_solver_matches_dense_brute_force():
-    sysm, vh, _, _ = toy_system()
-    elim = apply_dirichlet(sysm, dirichlet_bc(vh))
-    sol = solve_saddle(elim)
-    K = full_matrix(elim).toarray()
-    b = np.concatenate([elim.F1, elim.F2, elim.G])
-    x = np.linalg.solve(K, b)
-    got = np.concatenate([sol.u, sol.u2, sol.lam])
-    assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-11
-    assert sol.residual <= 1e-10
-    assert sol.constraint_res <= 1e-9
+    # every toy cell owns a private dof (elm1: its bubble, q1q1p0: its patch
+    # corner), so both systems are solved through the condensed route
+    for element in ("elm1", "q1q1p0"):
+        sysm, vh, _, _ = toy_system(element)
+        elim = apply_dirichlet(sysm, dirichlet_bc(vh))
+        sol = solve_saddle(elim)
+        assert sol.stats["eliminated"] == 2 * elim.m
+        K = full_matrix(elim).toarray()
+        b = np.concatenate([elim.F1, elim.F2, elim.G])
+        x = np.linalg.solve(K, b)
+        got = np.concatenate([sol.u, sol.u2, sol.lam])
+        assert np.linalg.norm(got - x) / np.linalg.norm(x) < 1e-11
+        assert sol.residual <= 1e-10
+        assert sol.constraint_res <= 1e-9
 
 
 def test_scaling_equivariance():
@@ -241,6 +254,76 @@ def test_matching_meshes_decouple_in_the_equal_coefficient_limit():
     assert np.abs(sol.u - u0).max() < 1e-6
     # constraint ties the two fields together exactly
     assert np.abs(sysm.C1 @ sol.u - sysm.C2 @ sol.u2).max() < 1e-9
+
+
+@pytest.mark.parametrize("element", ["elm1", "q1q1p0"])
+@pytest.mark.parametrize("route", ["condensed", "full"])
+def test_equal_coefficients_raise_before_factoring(element, route, monkeypatch):
+    # beta2 = beta makes A2 vanish, and K has the kernel (0, ker C2, 0)
+    if route == "full":
+        monkeypatch.setattr(system_module, "interior_columns", lambda C2: None)
+    sysm, vh, _, _ = toy_system(element, beta=1.0, beta2=1.0)
+    with pytest.raises(SolverError, match="beta2 = beta"):
+        solve_saddle(sysm, dirichlet_bc(vh))
+
+
+def benchmark_meshes(example, level):
+    """Background and immersed meshes of a benchmark study level (base 16, ratio 1)."""
+    bg = problems.background_spec(example, 16)
+    base = problems.immersed_base_for_ratio(example, build_mesh(bg, 0).h, 1.0)
+    return build_mesh(bg, level), build_mesh(problems.immersed_spec(example, base), level)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_interior_columns_are_the_cell_centre_dofs(element):
+    toy = build_mesh(DomainSpec("square_patch", bounds=(0.5, 1.5, 0.5, 1.5), base_cells=2))
+    meshes = [toy] + [benchmark_meshes(ex, lvl)[1] for ex in (3, 4) for lvl in (0, 1, 2)]
+    for t2 in meshes:
+        v2 = build_space(t2, ELEMENTS[element][1])
+        got = interior_columns(assemble_C2(build_space(t2, P0), v2))
+        # on the toy patch each cell also owns a corner node; the highest
+        # private column wins
+        assert np.array_equal(got, v2.dof_map[:, -1])
+
+
+def test_q1q1p0_routes():
+    # on the 2x2 toy patch each corner node is private to its cell and is
+    # eliminated; on the disk no cell owns one, so K itself is factored
+    _, _, v2, lh = toy_system("q1q1p0")
+    got = interior_columns(assemble_C2(lh, v2))
+    corners = np.flatnonzero(np.bincount(v2.dof_map.ravel()) == 1)
+    assert np.array_equal(np.sort(got), corners)
+    assert all(got[c] in v2.dof_map[c] for c in range(4))
+    for lvl in (0, 1, 2):
+        t2 = benchmark_meshes(3, lvl)[1]
+        assert interior_columns(assemble_C2(build_space(t2, P0), build_space(t2, Q1))) is None
+    stats = solve_level(*benchmark_meshes(3, 0), "q1q1p0", 1.0, 10.0).sol.stats
+    assert stats["eliminated"] == 0 and stats["factored"] == stats["unknowns"]
+
+
+@pytest.mark.parametrize("case", [1, 2, 3])
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+@pytest.mark.parametrize("example", [3, 4])
+def test_condensed_route_matches_full_factorization(example, element, case, monkeypatch):
+    beta, beta2 = problems.CASES[case]
+    exact = problems.exact_solution(example, case)
+    tol = 1e-8 if case == 2 else 1e-10
+    for level in (0, 1):
+        t, t2 = benchmark_meshes(example, level)
+        sysm, vh, _, _ = coupled_system(t, t2, element, beta, beta2)
+        bc = dirichlet_bc(vh, exact["u1"] if exact else None)
+        # without the refinement step the backward error reaches 6e-15 here
+        sol = solve_saddle(sysm, bc, rtol=1e-15)
+        with monkeypatch.context() as mp:
+            mp.setattr(system_module, "interior_columns", lambda C2: None)
+            ref = solve_saddle(sysm, bc)
+        assert ref.stats["eliminated"] == 0 and ref.stats["factored"] == ref.stats["unknowns"]
+        assert sol.stats["unknowns"] == ref.stats["unknowns"]
+        assert sol.stats["eliminated"] == 2 * sysm.m
+        assert sol.stats["factored"] == sol.stats["unknowns"] - sol.stats["eliminated"]
+        assert 0 < sol.stats["lu_fill"] < ref.stats["lu_fill"]
+        for got, want in ((sol.u, ref.u), (sol.u2, ref.u2), (sol.lam, ref.lam)):
+            assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
 def test_residual_tolerance_enforced():
