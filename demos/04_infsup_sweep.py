@@ -29,5 +29,7 @@ for tag, base in (("elm1", 1), ("elm2", 2), ("q1q1p0", 1)):
             f"  {rep.levels[i]:5d}  {rep.h2[i]:.4f}  {rep.dim_V2h[i]:8d} "
             f"{rep.dim_Lh[i]:8d}   {rep.gamma_est[i]:.6e}"
         )
-    print(f"  finest/coarsest = {rep.gamma_est[-1] / rep.gamma_est[0]:.3f}, "
-          f"verdict: {rep.verdict()}\n")
+    g0, g1 = rep.gamma_est[0], rep.gamma_est[-1]
+    # q1q1p0's estimates are exact zeros, so the ratio is undefined there
+    ratio = f"{g1 / g0:.3f}" if g0 > 0 else "undefined"
+    print(f"  finest/coarsest = {ratio}, verdict: {rep.verdict()}\n")

@@ -210,7 +210,7 @@ def assemble_C2(lambda_space, v2_space):
     phi = el.basis_matrix(fam, _C2_RULE.points)
     dN = el.grad_matrix(el.Q1, _C2_RULE.points)
     X = mesh.nodes[mesh.cells]
-    J = np.einsum("mla,qlb->mqab", X, dN)
+    J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
     vals = np.einsum("q,mq,qj->mj", _C2_RULE.weights, det, phi)
     rows = np.repeat(np.arange(mesh.num_cells), fam.ndofs)

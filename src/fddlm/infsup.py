@@ -8,21 +8,19 @@ eigenvalue sigma of the generalized eigenproblem
 
 with N1 the multiplier mass matrix (diagonal of cell areas), N2 the H1
 matrix (stiffness + mass) of the immersed space and m = dim(Lambda_h).
-S is positive semidefinite with rank at most m, so the nonzero part of
-this n2 x n2 spectrum is the spectrum of the m x m Schur form
-
-    W = D^{-1/2} C2 N2^{-1} C2^T D^{-1/2},    D = h2^2 N1,
-
-and sigma is the smallest eigenvalue of W (zero when C2 is rank
-deficient). The estimate takes one sparse factorization of N2 and one
-dense eigensolve of W. A stable pairing keeps sqrt(sigma) bounded away
-from zero under refinement; a degenerating one drives it to zero.
+S has rank at most m, so sigma is the smallest eigenvalue of the m x m
+form W = R N2^{-1} R^T, R = (h2^2 N1)^{-1/2} C2 (Chapelle & Bathe 1993),
+zero when C2 is rank deficient. W is never formed: the lambda block of
+the inverse of the norm saddle S_eps = [[N2, R^T], [R, -eps I]], which
+is quasi-definite and so nonsingular for any C2, is -(W + eps I)^{-1}.
+One sparse LU of S_eps and shift-invert Lanczos (ARPACK) give the top
+eigenvalue mu of (W + eps I)^{-1}, and sigma = 1/mu - eps exactly. A
+stable pairing keeps sqrt(sigma) away from zero under refinement.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -39,9 +37,6 @@ __all__ = [
     "InfSupReport",
     "infsup_sweep",
 ]
-
-# largest m for the dense eigensolve of the m x m Schur form
-_MAX_DENSE = 12000
 
 # gamma of the scaled pencil is dimensionless and sits at O(0.01..1) for
 # any resolvable pairing; values at sqrt(machine eps) scale mean the
@@ -61,46 +56,46 @@ def build_norm_matrices(v2_space, lambda_space):
     return N1, N2
 
 
-def _schur_sigma(C2, N1, N2, h2, block=512):
-    # smallest eigenvalue of W (module docstring), built block column by
-    # block column from one factorization of N2
-    dis = (1.0 / (h2 * np.sqrt(N1.diagonal())))[:, None]
-    R = C2.multiply(dis).tocsr()
-    RT = sp.csc_matrix(R.T)
-    solve = spla.factorized(N2.tocsc())
-    m = R.shape[0]
-    W = np.empty((m, m))
-    for j0 in range(0, m, block):
-        j1 = min(j0 + block, m)
-        W[:, j0:j1] = R @ solve(RT[:, j0:j1].toarray())
-    W = 0.5 * (W + W.T)
-    return sla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]
+def infsup_constant(C2, N1, N2, h2, stats=None):
+    """Inf-sup estimate (sigma, gamma = sqrt(sigma)) from the norm saddle.
 
-
-def infsup_constant(C2, N1, N2, h2):
-    """Inf-sup estimate from the m x m Schur form of the pencil.
-
-    Returns (sigma, gamma) where sigma is the m-th largest eigenvalue of
-    the pencil (m = number of multiplier dofs), taken as the smallest
-    eigenvalue of W = D^{-1/2} C2 N2^{-1} C2^T D^{-1/2}, and
-    gamma = sqrt(sigma).
+    sigma is the m-th largest pencil eigenvalue (module docstring). A
+    ``stats`` dict receives ``factored`` (n2 + m), ``lu_fill`` (nonzeros
+    of L + U), ``matvecs`` (applications of (W + eps I)^{-1}) and ``eps``.
+    Raises ``ArpackNoConvergence`` if Lanczos does not converge.
     """
     m, n2 = C2.shape
     if m > n2:
         raise ValueError("multiplier space larger than immersed space")
-    if m > _MAX_DENSE:
-        raise ValueError(
-            f"multiplier space of dimension {m} too large for the dense "
-            f"eigensolve of the m x m Schur matrix (limit {_MAX_DENSE}); "
-            "use a coarser immersed base resolution"
-        )
-    sigma = float(max(_schur_sigma(C2, N1, N2, h2), 0.0))
+    R = C2.multiply((1.0 / (h2 * np.sqrt(N1.diagonal())))[:, None]).tocsr()
+    # 1e-12 of the scale of W, which keeps the estimate scale equivariant
+    eps = 1e-12 * R.multiply(R).sum(axis=1).max() / spla.norm(N2, np.inf)
+    lu = spla.splu(sp.bmat([[N2, R.T], [R, -eps * sp.eye(m)]], format="csc"))
+    calls = [0]
+
+    def apply_inv(b):
+        # -(S_eps^{-1} [0; b])_lambda = (W + eps I)^{-1} b, per column of b
+        calls[0] += b.size // m
+        return -lu.solve(np.concatenate([np.zeros((n2,) + b.shape[1:]), b]))[n2:]
+
+    if m <= 20:
+        # ARPACK's default basis of min(m, 20) vectors spans the whole space
+        mu = np.linalg.eigvalsh(apply_inv(np.eye(m)))[-1]
+    else:
+        # a fixed generic start vector: repeated calls are bitwise equal
+        v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
+        op = spla.LinearOperator((m, m), matvec=apply_inv, dtype=float)
+        mu = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+    sigma = float(max(1.0 / mu - eps, 0.0))
+    if stats is not None:
+        fill = lu.L.nnz + lu.U.nnz
+        stats.update(factored=n2 + m, lu_fill=fill, matvecs=calls[0], eps=float(eps))
     return sigma, float(np.sqrt(sigma))
 
 
 @dataclass
 class InfSupReport:
-    """Per-level inf-sup estimates of one element choice."""
+    """Per-level inf-sup estimates and solve records of one element choice."""
 
     element: str
     geometry: str
@@ -110,6 +105,7 @@ class InfSupReport:
     dim_Lh: list = field(default_factory=list)
     sigma_min: list = field(default_factory=list)
     gamma_est: list = field(default_factory=list)
+    stats: list = field(default_factory=list)
 
     def verdict(self, threshold=0.5):
         """'stable' if gamma(finest)/gamma(coarsest) >= threshold,
@@ -158,7 +154,8 @@ def infsup_sweep(element, spec, levels):
         lh = build_space(t2, el.P0)
         C2 = assemble_C2(lh, v2)
         N1, N2 = build_norm_matrices(v2, lh)
-        sigma, gamma = infsup_constant(C2, N1, N2, t2.h)
+        report.stats.append({})
+        sigma, gamma = infsup_constant(C2, N1, N2, t2.h, report.stats[-1])
         report.levels.append(lvl)
         report.h2.append(t2.h)
         report.dim_V2h.append(v2.ndofs)

@@ -57,7 +57,7 @@ def _cell_geometry(mesh, quad):
     dN = el.grad_matrix(el.Q1, quad.points)
     N = el.basis_matrix(el.Q1, quad.points)
     X = mesh.nodes[mesh.cells]
-    J = np.einsum("mla,qlb->mqab", X, dN)
+    J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
     phys = np.einsum("ql,mla->mqa", N, X)
     return J, det, phys
@@ -73,7 +73,7 @@ def _physical_grads(fam, mesh, quad, J, det):
     Jinv[:, :, 1, 1] = J[:, :, 0, 0]
     Jinv = Jinv / det[:, :, None, None]
     # grad phi = J^{-T} gradref phi
-    return np.einsum("mqba,qlb->mqla", Jinv, dphi)
+    return np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
 
 
 def _coeff_per_cell(coeff, mesh):

@@ -203,12 +203,16 @@ def test_infsup_smoke(tmp_path, capsys):
     out = tmp_path / "infsup"
     assert main(["infsup", "--config", cfg, "--output", str(out)]) == 0
     assert "verdict: stable" in capsys.readouterr().out
-    lines = (out / "infsup.csv").read_text().splitlines()
+    csv = (out / "infsup.csv").read_text()
+    lines = csv.splitlines()
     assert lines[1] == "# immersed_base: 1"
     assert lines[2] == "level,h2,dim_V2h,dim_Lh,sigma_min,gamma_est"
     assert lines[-1] == "# verdict: stable"
     gammas = [float(l.split(",")[5]) for l in lines[3:-1]]
     assert len(gammas) == 3 and all(g > 0 for g in gammas)
+    # an identical rerun is byte identical
+    assert main(["infsup", "--config", cfg, "--output", str(out)]) == 0
+    assert (out / "infsup.csv").read_text() == csv
 
 
 def test_write_vtk_validation(tmp_path):

@@ -1,7 +1,7 @@
 """Smoke test: the quick demos run to completion.
 
-Demos 04 and 05 take tens of seconds each; the inf-sup and convergence
-paths they narrate are covered by the acceptance and CLI tests.
+Demo 05 takes tens of seconds; the convergence path it narrates is
+covered by the acceptance and CLI tests.
 """
 
 import os
@@ -15,7 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "name", ["01_mesh_gallery", "02_coupling_quadrature", "03_interface_solve"]
+    "name",
+    ["01_mesh_gallery", "02_coupling_quadrature", "03_interface_solve", "04_infsup_sweep"],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

@@ -1,15 +1,17 @@
-"""Inf-sup estimation: pencil oracles, equivariance, sweep mechanics."""
+"""Inf-sup estimation: pencil and Schur oracles, equivariance, sweep mechanics."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddlm.coupling import assemble_C2
 from fddlm.element import P0, Q1, Q1B, Q2
 from fddlm.infsup import (
+    _SINGULAR_TOL,
     InfSupReport,
     build_norm_matrices,
     infsup_constant,
@@ -36,6 +38,25 @@ def _dense_pencil_sigma(C2, N1, N2, h2):
     w = sla.eigh(0.5 * (S + S.T), N2.toarray(), eigvals_only=True)
     m, n2 = C2.shape
     return w[n2 - m], w[-1]
+
+
+def _schur_sigma(C2, N1, N2, h2, block=512):
+    """Smallest eigenvalue of the dense m x m form W = R N2^{-1} R^T.
+
+    W is built block column by block column from one factorization of
+    N2, then handed to a dense symmetric eigensolver.
+    """
+    dis = (1.0 / (h2 * np.sqrt(N1.diagonal())))[:, None]
+    R = C2.multiply(dis).tocsr()
+    RT = sp.csc_matrix(R.T)
+    solve = spla.factorized(N2.tocsc())
+    m = R.shape[0]
+    W = np.empty((m, m))
+    for j0 in range(0, m, block):
+        j1 = min(j0 + block, m)
+        W[:, j0:j1] = R @ solve(RT[:, j0:j1].toarray())
+    W = 0.5 * (W + W.T)
+    return sla.eigh(W, eigvals_only=True, subset_by_index=[0, 0])[0]
 
 
 def _infsup_constant_svd(C2, N1, N2, h2):
@@ -119,8 +140,37 @@ def test_dimension_guards():
     C2, N1, N2, h2 = small_setup(Q1)
     with pytest.raises(ValueError, match="larger"):
         infsup_constant(sp.csr_matrix(np.ones((50, 4))), N1, N2, h2)
-    with pytest.raises(ValueError, match="too large"):
-        infsup_constant(sp.csr_matrix((12001, 12002)), N1, N2, h2)
+
+
+# the criterion-3 levels whose dense Schur oracle fits in seconds, and
+# the control q1-p0, whose C2 is rank deficient on the disk (checkerboard
+# kernel), so the unregularized norm saddle is singular
+_CRITERION_3_LEVELS = (
+    [(Q1B, 1, lvl) for lvl in range(5)]
+    + [(Q2, 2, lvl) for lvl in range(4)]
+    + [(Q1, 1, lvl) for lvl in range(5)]
+)
+
+
+@pytest.mark.parametrize(
+    "fam,base,level",
+    _CRITERION_3_LEVELS,
+    ids=[f"{f.tag}-base{b}-L{lvl}" for f, b, lvl in _CRITERION_3_LEVELS],
+)
+def test_matches_schur_oracle(fam, base, level):
+    C2, N1, N2, h2 = small_setup(fam, level=level, base=base)
+    sigma, gamma = infsup_constant(C2, N1, N2, h2)
+    if fam is Q1:
+        assert gamma < _SINGULAR_TOL
+    else:
+        assert sigma == pytest.approx(_schur_sigma(C2, N1, N2, h2), rel=1e-10)
+
+
+@pytest.mark.parametrize("level", [1, 3], ids=["column-inverse", "lanczos"])
+def test_repeat_calls_are_bitwise_equal(level):
+    C2, N1, N2, h2 = small_setup(Q1B, level=level)
+    sigma, _ = infsup_constant(C2, N1, N2, h2)
+    assert infsup_constant(C2, N1, N2, h2)[0] == sigma
 
 
 @pytest.mark.parametrize(
@@ -181,6 +231,12 @@ def test_sweep_mechanics():
     assert all(b > a for a, b in zip(report.dim_V2h, report.dim_V2h[1:]))
     assert all(g > 0 for g in report.gamma_est)
     assert report.dim_Lh == [5, 20, 80]
+    assert [s["factored"] for s in report.stats] == [
+        n2 + m for n2, m in zip(report.dim_V2h, report.dim_Lh)
+    ]
+    for s in report.stats:
+        assert set(s) == {"factored", "lu_fill", "matvecs", "eps"}
+        assert s["lu_fill"] >= s["factored"] and s["matvecs"] > 0 and s["eps"] > 0
     with pytest.raises(ValueError, match="valid tags"):
         infsup_sweep("p2p1", DomainSpec("disk"), 2)
     with pytest.raises(ValueError, match="levels"):
