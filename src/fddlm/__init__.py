@@ -8,7 +8,7 @@ neither mesh needs to fit the interface.
 """
 
 from .coupling import CouplingTable, CoverageError, assemble_C1, assemble_C2, build_intersections
-from .element import P0, Q1, Q1B, Q2, CellMap, gauss_square
+from .element import P0, Q1, Q1B, Q2, gauss_square
 from .infsup import InfSupReport, infsup_constant, infsup_sweep
 from .mesh import DomainSpec, QuadMesh, build_mesh, refine_uniform
 from .runner import run_study, solve_level
@@ -36,7 +36,6 @@ __all__ = [
     "Q1",
     "Q1B",
     "Q2",
-    "CellMap",
     "gauss_square",
     "InfSupReport",
     "infsup_constant",

@@ -28,7 +28,7 @@ __all__ = [
     "grad_matrix",
     "QuadratureRule",
     "gauss_square",
-    "CellMap",
+    "invert_bilinear",
 ]
 
 
@@ -181,52 +181,28 @@ def gauss_square(n):
     return QuadratureRule(pts, W.ravel(), 2 * n - 1)
 
 
-class CellMap:
-    """Bilinear map from the unit square onto a straight-edged quad.
+def invert_bilinear(quads, x, tol=1e-13, maxit=25):
+    """Invert the bilinear maps of quads (k, 4, 2) at points (k, 2) by Newton.
 
-    Parameters
-    ----------
-    quad : (4, 2) array_like
-        Physical corner coordinates in counterclockwise order.
+    Returns the reference coordinates, not clamped to [0, 1]^2, and a (k,)
+    mask of the lanes whose residual fell below ``tol * max(|quad|, 1)``
+    within ``maxit`` steps. Each lane stops once it converges: only the
+    active lanes are updated, by index.
     """
-
-    def __init__(self, quad):
-        self.quad = np.asarray(quad, dtype=float)
-        if self.quad.shape != (4, 2):
-            raise ValueError("CellMap expects four corner points")
-
-    def forward(self, pts):
-        """Map reference points (k, 2) to physical coordinates."""
-        N = basis_matrix(Q1, pts)
-        return N @ self.quad
-
-    def jacobian(self, pts):
-        """Jacobian dF/dxhat at reference points; (k, 2, 2)."""
-        dN = grad_matrix(Q1, pts)
-        # J[a, b] = sum_l quad[l, a] * dN[l, b]
-        return np.einsum("la,klb->kab", self.quad, dN)
-
-    def inverse(self, x, tol=1e-13, maxit=25):
-        """Invert the map by Newton iteration.
-
-        Parameters
-        ----------
-        x : (k, 2) array_like of physical points.
-
-        Returns
-        -------
-        (k, 2) ndarray of reference coordinates. Points outside the cell
-        produce reference coordinates outside [0, 1]^2; no clamping.
-        """
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        ref = np.full_like(x, 0.5)
-        scale = max(np.abs(self.quad).max(), 1.0)
-        for _ in range(maxit):
-            r = x - self.forward(ref)
-            if np.abs(r).max() < tol * scale:
-                break
-            J = self.jacobian(ref)
-            det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-            ref[:, 0] += (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
-            ref[:, 1] += (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
-        return ref
+    ref = np.full_like(x, 0.5)
+    tols = tol * np.maximum(np.abs(quads).max(axis=(1, 2)), 1.0)
+    act = np.arange(x.shape[0])
+    for _ in range(maxit):
+        if not act.size:
+            break
+        q = quads[act]
+        r = x[act] - np.matmul(basis_matrix(Q1, ref[act])[:, None], q)[:, 0]
+        go = ~(np.abs(r).max(axis=1) < tols[act])
+        act, q, r = act[go], q[go], r[go]
+        J = np.einsum("kla,klb->kab", q, grad_matrix(Q1, ref[act]))
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        ref[act, 0] += (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
+        ref[act, 1] += (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
+    converged = np.ones(x.shape[0], dtype=bool)
+    converged[act] = False
+    return ref, converged

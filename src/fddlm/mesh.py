@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element import CellMap
+from .element import invert_bilinear
 
 __all__ = [
     "DomainSpec",
@@ -356,13 +356,21 @@ def refine_uniform(m):
 
 
 class CellLocator:
-    """Uniform-grid spatial index over cell bounding boxes."""
+    """Uniform-grid spatial index over cell bounding boxes.
+
+    The bin -> cell table is stored as CSR arrays (``indptr``, ``bin_cells``),
+    cells ascending within each bin. Across ``locate`` calls the locator
+    records ``unconverged``, the set of points whose chosen reference
+    coordinates come from a Newton run that missed its tolerance, and
+    ``max_miss``, the worst reference-unit distance of a point outside its
+    chosen cell before clamping.
+    """
 
     def __init__(self, mesh, bins=None):
         self.mesh = mesh
-        p = mesh.nodes[mesh.cells]
-        self.cmin = p.min(axis=1)
-        self.cmax = p.max(axis=1)
+        self.quads = mesh.nodes[mesh.cells]
+        self.cmin = self.quads.min(axis=1)
+        self.cmax = self.quads.max(axis=1)
         self.lo = self.cmin.min(axis=0)
         self.hi = self.cmax.max(axis=0)
         if bins is None:
@@ -370,69 +378,71 @@ class CellLocator:
         self.nb = bins
         span = np.maximum(self.hi - self.lo, 1e-300)
         self.inv = bins / span
-        self.grid = [[] for _ in range(bins * bins)]
-        i0 = self._bin_idx(self.cmin[:, 0], 0)
-        i1 = self._bin_idx(self.cmax[:, 0], 0)
-        j0 = self._bin_idx(self.cmin[:, 1], 1)
-        j1 = self._bin_idx(self.cmax[:, 1], 1)
-        for c in range(mesh.num_cells):
-            for i in range(i0[c], i1[c] + 1):
-                for j in range(j0[c], j1[c] + 1):
-                    self.grid[i * bins + j].append(c)
+        b0 = self._bin_idx(self.cmin)
+        nbox = self._bin_idx(self.cmax) - b0 + 1
+        cell, k = _segments(nbox[:, 0] * nbox[:, 1])
+        key = (b0[cell, 0] + k // nbox[cell, 1]) * bins + b0[cell, 1] + k % nbox[cell, 1]
+        self.bin_cells = cell[np.argsort(key, kind="stable")]
+        self.indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=bins * bins))])
+        self.unconverged = set()
+        self.max_miss = 0.0
 
-    def _bin_idx(self, x, axis):
-        k = np.floor((np.asarray(x) - self.lo[axis]) * self.inv[axis]).astype(int)
+    def _bin_idx(self, x):
+        """Bin (i, j) of each point of a (k, 2) array, clipped to the grid."""
+        k = np.floor((x - self.lo) * self.inv).astype(int)
         return np.clip(k, 0, self.nb - 1)
 
+    def _overlaps(self, lo, hi):
+        """(k, M) mask: cell bounding boxes meeting each box [lo, hi]."""
+        return np.all((self.cmin <= hi[:, None]) & (self.cmax >= lo[:, None]), axis=2)
+
     def candidates(self, xmin, ymin, xmax, ymax):
-        """Cells whose bounding box may overlap the query box, sorted."""
-        i0 = int(self._bin_idx(xmin, 0))
-        i1 = int(self._bin_idx(xmax, 0))
-        j0 = int(self._bin_idx(ymin, 1))
-        j1 = int(self._bin_idx(ymax, 1))
-        out = set()
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                out.update(self.grid[i * self.nb + j])
-        cand = []
-        for c in sorted(out):
-            if (
-                self.cmin[c, 0] <= xmax
-                and self.cmax[c, 0] >= xmin
-                and self.cmin[c, 1] <= ymax
-                and self.cmax[c, 1] >= ymin
-            ):
-                cand.append(c)
-        return cand
+        """Cells whose bounding box overlaps the query box, sorted."""
+        hit = self._overlaps(np.array([[xmin, ymin]]), np.array([[xmax, ymax]]))
+        return np.flatnonzero(hit[0]).tolist()
 
     def locate(self, pts, slack=1e-10):
         """Find the containing cell and reference coordinates per point.
 
-        Points up to ``slack`` outside a cell (in reference units) are
-        accepted and clamped; this covers evaluation at points marginally
-        outside a polygonal approximation of a curved boundary. Raises
-        ValueError when a point is farther away than slack from every
-        candidate cell.
+        The candidates of a point are the cells whose bounding box holds
+        it. A point with none takes every cell whose bounding box meets
+        the box of half-width ``slack`` around it, in physical units.
+        Newton inverts every (point, candidate) pair at once; a point
+        takes its first candidate, in cell order, with the smallest
+        reference-unit distance outside the cell, and coordinates up to
+        ``slack`` outside it (in reference units) are clamped into the
+        cell. Raises ValueError when a point is farther away than that
+        from every candidate cell.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        cells = np.empty(pts.shape[0], dtype=np.int64)
-        refs = np.empty_like(pts)
-        for k, p in enumerate(pts):
-            cand = self.candidates(p[0], p[1], p[0], p[1])
-            if not cand:
-                cand = self.candidates(
-                    p[0] - slack, p[1] - slack, p[0] + slack, p[1] + slack
-                )
-            best = None
-            for c in cand:
-                ref = CellMap(self.mesh.cell_polygon(c)).inverse(p)[0]
-                miss = float(np.maximum(np.maximum(-ref, ref - 1.0), 0.0).max())
-                if best is None or miss < best[0]:
-                    best = (miss, c, ref)
-                if miss == 0.0:
-                    break
-            if best is None or best[0] > slack:
-                raise ValueError(f"point {tuple(p)} not inside the mesh")
-            cells[k] = best[1]
-            refs[k] = np.clip(best[2], 0.0, 1.0)
-        return cells, refs
+        b = self._bin_idx(pts)
+        b = b[:, 0] * self.nb + b[:, 1]
+        pt, k = _segments(self.indptr[b + 1] - self.indptr[b])
+        cell = self.bin_cells[self.indptr[b][pt] + k]
+        inside = np.all((self.cmin[cell] <= pts[pt]) & (self.cmax[cell] >= pts[pt]), axis=1)
+        pt, cell = pt[inside], cell[inside]
+        lost = np.setdiff1d(np.arange(pts.shape[0]), pt)
+        fp, fc = np.nonzero(self._overlaps(pts[lost] - slack, pts[lost] + slack))
+        pt, cell = np.concatenate([pt, lost[fp]]), np.concatenate([cell, fc])
+        ref, converged = invert_bilinear(self.quads[cell], pts[pt])
+        miss = np.maximum(np.maximum(-ref, ref - 1.0), 0.0).max(axis=1)
+        # first pair per point among those of least miss: the pairs of a
+        # point are in cell order and lexsort is stable
+        order = np.lexsort((miss, pt))
+        found, first = np.unique(pt[order], return_index=True)
+        pick = order[first]
+        bad = np.ones(pts.shape[0], dtype=bool)
+        bad[found] = miss[pick] > slack
+        if bad.any():
+            p = pts[np.argmax(bad)]
+            raise ValueError(f"point {tuple(p)} not inside the mesh")
+        self.unconverged.update(map(tuple, pts[~converged[pick]].tolist()))
+        self.max_miss = float(np.max(miss[pick], initial=self.max_miss))
+        return cell[pick], np.clip(ref[pick], 0.0, 1.0)
+
+
+def _segments(counts):
+    """Owner and local index of each entry of consecutive runs of counts."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - start[owner]

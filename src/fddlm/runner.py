@@ -106,9 +106,13 @@ class FEFieldRef:
 
     Used as the reference in self-convergence studies: the fine solution
     is evaluated at the coarse quadrature points. Points outside the
-    fine mesh are clamped to the nearest cell within ``slack`` reference
-    units; the chord overshoot of a coarse mesh over a concave boundary
-    arc can reach about one fine boundary cell, hence the wide default.
+    fine mesh are clamped into the nearest cell within ``slack``
+    reference units; the chord overshoot of a coarse mesh over a concave
+    boundary arc can reach about one fine boundary cell, hence the wide
+    default. A point in no cell's bounding box searches the cells within
+    ``slack`` of it in physical units, which with 1.5 spans the whole
+    flower mesh, so such a point runs Newton on every cell; the picks of
+    the pinned studies depend on that search, so it stays.
     """
 
     def __init__(self, space, coeffs, slack=1.5):
@@ -208,7 +212,11 @@ def run_study(
     k+2 (quadrature-point transfer), reporting rows 0..levels-1. The
     multiplier column always uses the k vs k+2 protocol with nested cell
     averaging, so its last two rows are NaN in the exact-solution case
-    unless extra reference levels are requested.
+    unless extra reference levels are requested. A row measured through
+    the transfer adds ``transfer_unconverged`` (distinct points whose
+    reference coordinates come from an unconverged Newton run) and
+    ``transfer_max_miss`` (worst reference-unit distance outside the
+    chosen cell before clamping) to its ``stats``.
 
     Set ``extra_reference_levels=0`` to skip the multiplier column's
     deeper solves (rows remain NaN where no reference exists).
@@ -246,7 +254,8 @@ def run_study(
         res.constraint_res.append(d.constraint_res)
         res.lambda_mass.append(d.lambda_mass)
         res.dims.append(d.dims)
-        res.stats.append(d.sol.stats)
+        stats = dict(d.sol.stats)
+        res.stats.append(stats)
         ref = data[k + 2] if k + 2 < total else None
         if exact is not None:
             e = error_norms(
@@ -259,6 +268,9 @@ def run_study(
             e = error_norms(
                 d.sol, d.vh, d.v2, uref.value, uref.grad, u2ref.value, u2ref.grad
             )
+            locs = (uref.locator, u2ref.locator)
+            stats["transfer_unconverged"] = sum(len(loc.unconverged) for loc in locs)
+            stats["transfer_max_miss"] = float(np.max([loc.max_miss for loc in locs]))
         else:
             e = {c: float("nan") for c in ("L2_u", "H1_u", "L2_u2", "H1_u2")}
         for c in ("L2_u", "H1_u", "L2_u2", "H1_u2"):

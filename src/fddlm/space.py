@@ -144,13 +144,7 @@ def evaluate_grad(space, coeffs, pts, locator=None, slack=1e-10):
     if locator is None:
         locator = CellLocator(space.mesh)
     cells, refs = locator.locate(pts, slack=slack)
-    grads = np.empty((cells.shape[0], 2))
-    dphi = el.grad_matrix(space.family, refs)
-    local = coeffs[space.dof_map[cells]]
-    for k in range(cells.shape[0]):
-        cm = el.CellMap(space.mesh.cell_polygon(cells[k]))
-        J = cm.jacobian(refs[k : k + 1])[0]
-        Jinv = np.linalg.inv(J)
-        gref = dphi[k].T @ local[k]
-        grads[k] = Jinv.T @ gref
-    return grads
+    J = np.einsum("kla,klb->kab", locator.quads[cells], el.grad_matrix(el.Q1, refs))
+    dphi = el.grad_matrix(space.family, refs).transpose(0, 2, 1)
+    gref = np.matmul(dphi, coeffs[space.dof_map[cells]][:, :, None])
+    return np.matmul(np.linalg.inv(J).transpose(0, 2, 1), gref)[:, :, 0]

@@ -3,12 +3,15 @@
 ``clip_convex`` intersects one pair of general convex polygons; it is the
 oracle of the batched grid-line clipper. ``fan_rule`` integrates over a
 convex polygon by a triangle rule on its fan triangulation; it is the
-oracle of the Green's-theorem polygon moments.
+oracle of the Green's-theorem polygon moments. ``CellMap`` is the
+bilinear map of one quad and ``cell_map_inverse`` its scalar Newton
+inverse; ``locate`` and ``evaluate_grad`` place and differentiate a field
+one point at a time. They are the oracles of the batched point location.
 """
 
 import numpy as np
 
-from fddlm.element import QuadratureRule
+from fddlm.element import Q1, QuadratureRule, basis_matrix, grad_matrix
 from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
 
 
@@ -173,3 +176,97 @@ def fan_rule(poly):
     pts = a + rule.points[:, :1] * (b - a) + rule.points[:, 1:] * (c - a)
     u, v = tris[:, 1] - tris[:, 0], tris[:, 2] - tris[:, 0]
     return pts.reshape(-1, 2), np.outer(u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0], rule.weights).ravel()
+
+
+class CellMap:
+    """Bilinear map from the unit square onto a straight-edged quad.
+
+    Parameters
+    ----------
+    quad : (4, 2) array_like
+        Physical corner coordinates in counterclockwise order.
+    """
+
+    def __init__(self, quad):
+        self.quad = np.asarray(quad, dtype=float)
+        if self.quad.shape != (4, 2):
+            raise ValueError("CellMap expects four corner points")
+
+    def forward(self, pts):
+        """Map reference points (k, 2) to physical coordinates."""
+        N = basis_matrix(Q1, pts)
+        return N @ self.quad
+
+    def jacobian(self, pts):
+        """Jacobian dF/dxhat at reference points; (k, 2, 2)."""
+        dN = grad_matrix(Q1, pts)
+        # J[a, b] = sum_l quad[l, a] * dN[l, b]
+        return np.einsum("la,klb->kab", self.quad, dN)
+
+
+def cell_map_inverse(quad, x, tol=1e-13, maxit=25):
+    """Invert the bilinear map of one quad at points (k, 2) by Newton.
+
+    All points iterate together until the largest residual converges;
+    points outside the cell get reference coordinates outside [0, 1]^2.
+    """
+    cm = CellMap(quad)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    ref = np.full_like(x, 0.5)
+    scale = max(np.abs(cm.quad).max(), 1.0)
+    for _ in range(maxit):
+        r = x - cm.forward(ref)
+        if np.abs(r).max() < tol * scale:
+            break
+        J = cm.jacobian(ref)
+        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        ref[:, 0] += (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
+        ref[:, 1] += (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
+    return ref
+
+
+def _box_candidates(mesh, lo, hi):
+    """Cells, ascending, whose bounding box meets the box [lo, hi]."""
+    p = mesh.nodes[mesh.cells]
+    hit = (p.min(axis=1) <= hi) & (p.max(axis=1) >= lo)
+    return [int(c) for c in np.flatnonzero(hit.all(axis=1))]
+
+
+def locate(mesh, pts, slack=1e-10):
+    """Point location one point and one candidate cell at a time.
+
+    Candidates are the cells whose bounding box holds the point, else
+    those meeting the box padded by ``slack`` in physical units. The first
+    candidate with zero miss wins, else the first with the least miss.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    cells = np.empty(pts.shape[0], dtype=np.int64)
+    refs = np.empty_like(pts)
+    for k, p in enumerate(pts):
+        cand = _box_candidates(mesh, p, p) or _box_candidates(mesh, p - slack, p + slack)
+        best = None
+        for c in cand:
+            ref = cell_map_inverse(mesh.cell_polygon(c), p)[0]
+            miss = float(np.maximum(np.maximum(-ref, ref - 1.0), 0.0).max())
+            if best is None or miss < best[0]:
+                best = (miss, c, ref)
+            if miss == 0.0:
+                break
+        if best is None or best[0] > slack:
+            raise ValueError(f"point {tuple(p)} not inside the mesh")
+        cells[k] = best[1]
+        refs[k] = np.clip(best[2], 0.0, 1.0)
+    return cells, refs
+
+
+def evaluate_grad(space, coeffs, pts, locator=None, slack=1e-10):
+    """Physical gradient of a field at points, one 2x2 inverse per point."""
+    cells, refs = locate(space.mesh, pts, slack)
+    coeffs = np.asarray(coeffs, dtype=float)
+    grads = np.empty((cells.shape[0], 2))
+    dphi = grad_matrix(space.family, refs)
+    local = coeffs[space.dof_map[cells]]
+    for k in range(cells.shape[0]):
+        J = CellMap(space.mesh.cell_polygon(cells[k])).jacobian(refs[k : k + 1])[0]
+        grads[k] = np.linalg.inv(J).T @ (dphi[k].T @ local[k])
+    return grads

@@ -180,10 +180,14 @@ def test_convergence_smoke_and_determinism(tmp_path):
     assert all(r <= 1e-10 for r in data["residuals"])
     assert len(data["stats"]) == 3
     for stats, dims in zip(data["stats"], data["dims"]):
-        assert set(stats) == {"unknowns", "factored", "eliminated", "lu_fill"}
+        assert set(stats) == {
+            "unknowns", "factored", "eliminated", "lu_fill",
+            "transfer_unconverged", "transfer_max_miss",
+        }
         assert stats["unknowns"] == dims["n"] + dims["n2"] + dims["m"]
         assert stats["factored"] < stats["unknowns"]
-    assert "fill" not in csv1
+        assert stats["transfer_unconverged"] >= 0 and stats["transfer_max_miss"] >= 0
+    assert "fill" not in csv1 and "transfer" not in csv1
 
     # identical rerun into the same directory is byte identical
     assert main(["convergence", "--config", cfg, "--output", str(out)]) == 0

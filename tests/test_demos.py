@@ -1,8 +1,4 @@
-"""Smoke test: the quick demos run to completion.
-
-Demo 05 takes tens of seconds; the convergence path it narrates is
-covered by the acceptance and CLI tests.
-"""
+"""Smoke test: the demos run to completion."""
 
 import os
 import subprocess
@@ -16,7 +12,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize(
     "name",
-    ["01_mesh_gallery", "02_coupling_quadrature", "03_interface_solve", "04_infsup_sweep"],
+    [
+        "01_mesh_gallery",
+        "02_coupling_quadrature",
+        "03_interface_solve",
+        "04_infsup_sweep",
+        "05_convergence_study",
+    ],
 )
 def test_demo_runs(name):
     env = dict(os.environ)

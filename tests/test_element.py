@@ -10,13 +10,13 @@ from fddlm.element import (
     Q1,
     Q1B,
     Q2,
-    CellMap,
     basis_matrix,
     family,
     gauss_square,
     grad_matrix,
+    invert_bilinear,
 )
-from oracles import gauss_triangle
+from oracles import CellMap, cell_map_inverse, gauss_triangle
 
 Q1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 Q2_NODES = np.array(
@@ -163,6 +163,11 @@ def test_cell_map_inverse_roundtrip():
     rng = np.random.default_rng(2)
     quad = np.array([[0.0, 0.0], [1.5, 0.3], [1.8, 1.6], [-0.2, 1.2]])
     cm = CellMap(quad)
-    ref = rng.uniform(0, 1, size=(30, 2))
-    back = cm.inverse(cm.forward(ref))
+    ref = rng.uniform(-0.2, 1.2, size=(30, 2))
+    x = cm.forward(ref)
+    back, converged = invert_bilinear(np.broadcast_to(quad, (30, 4, 2)), x)
+    assert converged.all()
     assert np.abs(back - ref).max() < 1e-12
+    # each lane stops on its own: equal to the one-point scalar Newton
+    for k in range(30):
+        assert np.array_equal(back[k], cell_map_inverse(quad, x[k])[0])

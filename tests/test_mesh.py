@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fddlm import problems
+from fddlm.element import gauss_square
 from fddlm.mesh import CellLocator, DomainSpec, build_mesh, refine_uniform
+from fddlm.runner import build_mesh_sequence
+from fddlm.system import _cell_geometry
+from oracles import CellMap, locate
 
 RECT6 = DomainSpec("rectangle", bounds=(0.0, 6.0, 0.0, 6.0), base_cells=6)
 
@@ -134,8 +141,6 @@ def test_locator_on_curved_mesh():
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     cells, refs = loc.locate(pts)
     assert np.all((refs >= 0) & (refs <= 1))
-    from fddlm.element import CellMap
-
     for k in range(0, 200, 17):
         cm = CellMap(m.cell_polygon(cells[k]))
         assert cm.forward(refs[k : k + 1])[0] == pytest.approx(pts[k], abs=1e-9)
@@ -150,6 +155,73 @@ def test_locator_candidates_cover_query():
     # query box sits inside cell (ix=2, iy=3) of the 6x6 grid
     assert 3 * 6 + 2 in cand
     assert cand == sorted(cand)
+
+
+@pytest.mark.parametrize("example", [1, 2, 4])
+def test_locate_matches_oracle_on_transfers(example):
+    # the self-convergence transfer: level k quadrature points located in
+    # the level k+2 mesh, background and immersed, with FEFieldRef's slack
+    bg = build_mesh_sequence(problems.background_spec(example, 4), 4)
+    base = problems.immersed_base_for_ratio(example, bg[0].h, 1.0)
+    im = build_mesh_sequence(problems.immersed_spec(example, base), 4)
+    fallback = 0
+    for seq in (bg, im):
+        for k in (0, 1):
+            pts = _cell_geometry(seq[k], gauss_square(5))[2].reshape(-1, 2)
+            loc = CellLocator(seq[k + 2])
+            cells, refs = loc.locate(pts, slack=1.5)
+            ocells, orefs = locate(seq[k + 2], pts, slack=1.5)
+            assert np.array_equal(cells, ocells)
+            assert np.array_equal(refs, orefs)
+            fallback += int((~loc._overlaps(pts, pts).any(axis=1)).sum())
+    # the flower level-1 immersed transfer has points in no bounding box
+    assert (fallback > 0) == (example == 4)
+
+
+def _probe_points(m, data):
+    """Points inside cells, on cell edges and corners, and just outside
+    the boundary of a mesh."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    cells = rng.integers(0, m.num_cells, 12)
+    ref = rng.uniform(0, 1, (12, 2))
+    ref[4:8, rng.integers(0, 2)] = rng.integers(0, 2, 4)  # on an edge
+    pts = [CellMap(m.cell_polygon(c)).forward(r[None])[0] for c, r in zip(cells, ref)]
+    pts += list(m.nodes[rng.integers(0, m.num_nodes, 3)])
+    e = m.boundary_edges[rng.integers(0, m.boundary_edges.shape[0], 4)]
+    a, b = m.nodes[e[:, 0]], m.nodes[e[:, 1]]
+    mid = 0.5 * (a + b)
+    normal = np.column_stack([b[:, 1] - a[:, 1], a[:, 0] - b[:, 0]])
+    normal *= np.sign(np.sum(normal * (mid - m.nodes.mean(axis=0)), axis=1))[:, None]
+    dist = 10.0 ** rng.uniform(-14, -1, (4, 1))
+    pts += list(mid + dist * normal)
+    return np.asarray(pts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    kind=st.sampled_from(["disk", "flower"]),
+    base=st.integers(1, 3),
+    level=st.integers(0, 2),
+    data=st.data(),
+)
+def test_locate_matches_oracle_on_random_points(kind, base, level, data):
+    m = build_mesh(DomainSpec(kind, base_cells=base), level)
+    pts = _probe_points(m, data)
+    for slack in (1e-10, 1.5):
+        # a point outside the mesh runs Newton on every cell within 1.5;
+        # on a far cell the iterate can hit a singular Jacobian in both
+        # implementations, and the pick must still agree
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                expect = locate(m, pts, slack)
+            except ValueError as err:
+                with pytest.raises(ValueError, match="not inside") as got:
+                    CellLocator(m).locate(pts, slack)
+                assert str(got.value) == str(err)
+                continue
+            cells, refs = CellLocator(m).locate(pts, slack)
+        assert np.array_equal(cells, expect[0])
+        assert np.array_equal(refs, expect[1])
 
 
 def test_domain_spec_validation():

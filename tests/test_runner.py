@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from fddlm.element import Q1
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.runner import (
@@ -14,6 +15,7 @@ from fddlm.runner import (
     solve_level,
 )
 from fddlm.coupling import build_intersections
+from fddlm.mesh import CellLocator
 from fddlm.space import build_space, interpolate
 
 
@@ -106,3 +108,21 @@ def test_run_study_self_convergence_and_threads():
     par = run_study(1, 1, "elm1", levels=2, base_cells=4, threads=2)
     for col, vals in res.errors.items():
         assert np.array_equal(np.asarray(vals), np.asarray(par.errors[col]))
+
+
+def test_run_study_transfer_matches_per_point_oracle(monkeypatch):
+    # flower self convergence: batched location and gradients against the
+    # per-point loops, bitwise on every error
+    res = run_study(4, 1, "elm1", levels=2, base_cells=4)
+    monkeypatch.setattr(
+        CellLocator, "locate", lambda self, pts, slack=1e-10: oracles.locate(self.mesh, pts, slack)
+    )
+    monkeypatch.setattr("fddlm.runner.evaluate_grad", oracles.evaluate_grad)
+    ref = run_study(4, 1, "elm1", levels=2, base_cells=4)
+    for col, vals in res.errors.items():
+        assert np.array_equal(np.asarray(vals), np.asarray(ref.errors[col]), equal_nan=True)
+    # the transfer diagnostics: level 1 takes two points from unconverged
+    # Newton runs, up to 0.35 reference units outside their cell
+    assert [s["transfer_unconverged"] for s in res.stats] == [0, 2]
+    assert res.stats[0]["transfer_max_miss"] <= 1e-13
+    assert 0.3 < res.stats[1]["transfer_max_miss"] < 0.4

@@ -8,7 +8,7 @@ from scipy.integrate import dblquad
 import fddlm.system as system_module
 from fddlm import problems
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
-from fddlm.element import P0, Q1, Q2, CellMap, gauss_square, grad_matrix
+from fddlm.element import P0, Q1, Q2, gauss_square, grad_matrix
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.runner import ELEMENTS, solve_level
 from fddlm.space import build_space, dirichlet_bc
@@ -29,6 +29,7 @@ from fddlm.system import (
     project_p0,
     solve_saddle,
 )
+from oracles import CellMap
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
 # -1/6, diagonal neighbours -1/3
