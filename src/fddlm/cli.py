@@ -19,8 +19,7 @@ import numpy as np
 
 from . import problems
 from .infsup import infsup_sweep
-from .mesh import build_mesh
-from .runner import ELEMENTS, ERROR_COLUMNS, build_mesh_sequence, run_study, solve_level
+from .runner import ELEMENTS, ERROR_COLUMNS, run_study, solve_level, study_meshes
 from .system import SolverError
 
 __all__ = ["RunConfig", "load_config", "main", "ConfigError"]
@@ -119,12 +118,8 @@ def cmd_solve(cfg):
     outdir = _ensure_outdir(cfg)
     level = cfg.levels - 1
     beta, beta2 = problems.CASES[cfg.case]
-    bg_spec = problems.background_spec(cfg.example, cfg.base_cells)
-    bg = build_mesh(bg_spec, level)
-    im_base = problems.immersed_base_for_ratio(
-        cfg.example, build_mesh(bg_spec, 0).h, cfg.ratio
-    )
-    t2 = build_mesh(problems.immersed_spec(cfg.example, im_base), level)
+    bg_seq, im_seq, im_base = study_meshes(cfg.example, cfg.base_cells, cfg.ratio, cfg.levels)
+    bg, t2 = bg_seq[level], im_seq[level]
     exact = problems.exact_solution(cfg.example, cfg.case)
     g = exact["u1"] if exact else None
     data = solve_level(bg, t2, cfg.element, beta, beta2, g=g)
@@ -251,11 +246,7 @@ def cmd_mesh_export(cfg):
     from .vtk_io import write_vtk
 
     outdir = _ensure_outdir(cfg)
-    bg_spec = problems.background_spec(cfg.example, cfg.base_cells)
-    bg0 = build_mesh(bg_spec, 0)
-    im_base = problems.immersed_base_for_ratio(cfg.example, bg0.h, cfg.ratio)
-    bg_seq = build_mesh_sequence(bg_spec, cfg.levels)
-    im_seq = build_mesh_sequence(problems.immersed_spec(cfg.example, im_base), cfg.levels)
+    bg_seq, im_seq, _ = study_meshes(cfg.example, cfg.base_cells, cfg.ratio, cfg.levels)
     title = f"fddlm mesh config={_config_json(cfg)}"
     paths = []
     for k in range(cfg.levels):

@@ -208,10 +208,7 @@ def assemble_C2(lambda_space, v2_space):
     mesh = v2_space.mesh
     fam = v2_space.family
     phi = el.basis_matrix(fam, _C2_RULE.points)
-    dN = el.grad_matrix(el.Q1, _C2_RULE.points)
-    X = mesh.nodes[mesh.cells]
-    J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
-    det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
+    _, det, _ = el.cell_geometry(mesh, _C2_RULE)
     vals = np.einsum("q,mq,qj->mj", _C2_RULE.weights, det, phi)
     rows = np.repeat(np.arange(mesh.num_cells), fam.ndofs)
     mat = sp.coo_matrix(

@@ -28,6 +28,7 @@ __all__ = [
     "grad_matrix",
     "QuadratureRule",
     "gauss_square",
+    "cell_geometry",
     "invert_bilinear",
 ]
 
@@ -181,17 +182,31 @@ def gauss_square(n):
     return QuadratureRule(pts, W.ravel(), 2 * n - 1)
 
 
+def cell_geometry(mesh, quad):
+    """Jacobians (M, q, 2, 2), determinants (M, q) and physical points
+    (M, q, 2) of a mesh's bilinear cell maps at a rule's points."""
+    dN = grad_matrix(Q1, quad.points)
+    N = basis_matrix(Q1, quad.points)
+    X = mesh.nodes[mesh.cells]
+    J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
+    det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
+    phys = np.einsum("ql,mla->mqa", N, X)
+    return J, det, phys
+
+
 def invert_bilinear(quads, x, tol=1e-13, maxit=25):
     """Invert the bilinear maps of quads (k, 4, 2) at points (k, 2) by Newton.
 
     Returns the reference coordinates, not clamped to [0, 1]^2, and a (k,)
     mask of the lanes whose residual fell below ``tol * max(|quad|, 1)``
     within ``maxit`` steps. Each lane stops once it converges: only the
-    active lanes are updated, by index.
+    active lanes are updated, by index. A lane that meets a singular
+    Jacobian stops there, unconverged, with NaN reference coordinates.
     """
     ref = np.full_like(x, 0.5)
     tols = tol * np.maximum(np.abs(quads).max(axis=(1, 2)), 1.0)
     act = np.arange(x.shape[0])
+    converged = np.ones(x.shape[0], dtype=bool)
     for _ in range(maxit):
         if not act.size:
             break
@@ -201,8 +216,12 @@ def invert_bilinear(quads, x, tol=1e-13, maxit=25):
         act, q, r = act[go], q[go], r[go]
         J = np.einsum("kla,klb->kab", q, grad_matrix(Q1, ref[act]))
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        # a singular Jacobian ends its lane with no reference point
+        ok = det != 0
+        ref[act[~ok]] = np.nan
+        converged[act[~ok]] = False
+        act, J, r, det = act[ok], J[ok], r[ok], det[ok]
         ref[act, 0] += (J[:, 1, 1] * r[:, 0] - J[:, 0, 1] * r[:, 1]) / det
         ref[act, 1] += (-J[:, 1, 0] * r[:, 0] + J[:, 0, 0] * r[:, 1]) / det
-    converged = np.ones(x.shape[0], dtype=bool)
     converged[act] = False
     return ref, converged

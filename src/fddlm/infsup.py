@@ -43,6 +43,9 @@ __all__ = [
 # constraint matrix is numerically rank deficient
 _SINGULAR_TOL = 1e-7
 
+# least gamma(finest) / gamma(coarsest) of a stable pairing
+_STABLE_RATIO = 0.5
+
 
 def build_norm_matrices(v2_space, lambda_space):
     """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix)."""
@@ -107,11 +110,11 @@ class InfSupReport:
     gamma_est: list = field(default_factory=list)
     stats: list = field(default_factory=list)
 
-    def verdict(self, threshold=0.5):
-        """'stable' if gamma(finest)/gamma(coarsest) >= threshold,
+    def verdict(self):
+        """'stable' if gamma(finest)/gamma(coarsest) >= _STABLE_RATIO,
         'degenerating' if the pairing is numerically singular at the
-        finest level or the sequence decreases monotonically below the
-        threshold."""
+        finest level or the sequence decreases monotonically below that
+        ratio."""
         g = self.gamma_est
         if len(g) < 2:
             return "inconclusive"
@@ -119,7 +122,7 @@ class InfSupReport:
             return "degenerating"
         if g[0] <= 0:
             return "inconclusive"
-        if g[-1] / g[0] >= threshold:
+        if g[-1] / g[0] >= _STABLE_RATIO:
             return "stable"
         if all(b < a for a, b in zip(g, g[1:])):
             return "degenerating"

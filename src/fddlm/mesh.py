@@ -2,14 +2,16 @@
 
 Supported domain kinds: axis-aligned rectangles (background box and
 immersed square patches), an L-shaped patch (square minus its upper-right
-quarter), a disk meshed by a 5-block transfinite layout (central square
-plus four boundary-fitted blocks), and a flower obtained from the disk
-mesh by scaling each node's polar radius by 1 + amplitude*cos(lobes*theta).
+quarter), and the disk and flower. One radial builder makes both of the
+last two: a 5-block transfinite layout (central square plus four
+boundary-fitted blocks) whose shared nodes are merged in one pass, and
+for a flower each node's polar radius is then scaled by
+1 + amplitude*cos(lobes*theta). A disk ignores amplitude and lobes.
 
 ``build_mesh(spec, level)`` applies ``level`` uniform refinements to the
 level-0 mesh, so cell children are nested (children of cell c are
 4c..4c+3) and h halves per level. New boundary-edge midpoints on curved
-domains are projected onto the exact boundary curve.
+domains are projected onto the exact boundary curve, all in one call.
 """
 
 from dataclasses import dataclass
@@ -41,7 +43,8 @@ class DomainSpec:
         (x0, x1, y0, y1) for rectangle-like kinds; for lshape this is the
         bounding square and the removed part is its upper-right quarter.
     center, radius : disk and flower center/base radius.
-    amplitude, lobes : flower boundary r(theta) = radius*(1 + amplitude*cos(lobes*theta)).
+    amplitude, lobes : flower boundary r(theta) = radius*(1 + amplitude*cos(lobes*theta));
+        a disk ignores both.
     base_cells : int
         Cells per side (rectangle/lshape) or per block edge (disk/flower)
         at level 0. lshape requires an even value.
@@ -69,7 +72,8 @@ class QuadMesh:
     boundary_nodes, boundary_edges : derived from edge incidence
         (an edge is on the boundary iff it has exactly one incident cell)
     projector : callable or None
-        Maps points onto the exact boundary curve; used during refinement.
+        Maps a (k, 2) array of points onto the exact boundary curve; used
+        during refinement.
     """
 
     def __init__(self, nodes, cells, projector=None, spec=None, level=0):
@@ -118,10 +122,6 @@ class QuadMesh:
             self._h = float(np.maximum(d1, d2).max())
         return self._h
 
-    def cell_polygon(self, i):
-        """Corner coordinates of cell i as a (4, 2) array."""
-        return self.nodes[self.cells[i]]
-
     def cell_areas(self):
         """Signed areas of all cells (positive for valid meshes)."""
         # relative to each cell's first vertex, so that small cells far
@@ -154,10 +154,8 @@ def build_mesh(spec, level=0):
         m = _build_rectangle(spec)
     elif spec.kind == "lshape":
         m = _build_lshape(spec)
-    elif spec.kind == "disk":
-        m = _build_disk(spec)
     else:
-        m = _build_flower(spec)
+        m = _build_radial(spec)
     for _ in range(level):
         m = refine_uniform(m)
     return m
@@ -209,111 +207,67 @@ def _build_lshape(spec):
     return QuadMesh(nodes[used], remap[cells], spec=spec, level=0)
 
 
-class _NodePool:
-    """Merge block grid nodes by rounded coordinate keys."""
-
-    def __init__(self, tol):
-        self.tol = tol
-        self.table = {}
-        self.coords = []
-
-    def add(self, p):
-        key = (round(p[0] / self.tol), round(p[1] / self.tol))
-        idx = self.table.get(key)
-        if idx is None:
-            idx = len(self.coords)
-            self.table[key] = idx
-            self.coords.append((float(p[0]), float(p[1])))
-        return idx
-
-
 def _disk_blocks(cx, cy, r, n):
-    """Node grids of the 5 transfinite blocks, each (n+1, n+1, 2)."""
+    """Node grids of the 5 transfinite blocks, as one (5, n+1, n+1, 2) array."""
     s = 0.5 * r / np.sqrt(2.0)  # central square corner sits at radius r/2
     u = np.linspace(0.0, 1.0, n + 1)
     blocks = []
     # central block, uniform Cartesian
     X, Y = np.meshgrid(-s + 2 * s * u, -s + 2 * s * u, indexing="ij")
     blocks.append(np.stack([cx + X, cy + Y], axis=-1))
-    # outer blocks: u radial (inner edge -> arc), v counterclockwise
-    corners = {
-        "E": ((s, -s), (s, s), -0.25 * np.pi),
-        "N": ((s, s), (-s, s), 0.25 * np.pi),
-        "W": ((-s, s), (-s, -s), 0.75 * np.pi),
-        "S": ((-s, -s), (s, -s), 1.25 * np.pi),
-    }
-    for key in ("E", "N", "W", "S"):
-        (ax, ay), (bx, by), th0 = corners[key]
-        uu, vv = np.meshgrid(u, u, indexing="ij")
-        inx = ax + (bx - ax) * vv
-        iny = ay + (by - ay) * vv
-        th = th0 + 0.5 * np.pi * vv
-        outx = r * np.cos(th)
-        outy = r * np.sin(th)
-        X = (1 - uu) * inx + uu * outx
-        Y = (1 - uu) * iny + uu * outy
+    # outer blocks E, N, W, S: u radial (inner edge -> arc), v counterclockwise
+    corners = [(s, -s), (s, s), (-s, s), (-s, -s)]
+    uu, vv = np.meshgrid(u, u, indexing="ij")
+    for k in range(4):
+        (ax, ay), (bx, by) = corners[k], corners[(k + 1) % 4]
+        th = (2 * k - 1) * 0.25 * np.pi + 0.5 * np.pi * vv
+        X = (1 - uu) * (ax + (bx - ax) * vv) + uu * (r * np.cos(th))
+        Y = (1 - uu) * (ay + (by - ay) * vv) + uu * (r * np.sin(th))
         blocks.append(np.stack([cx + X, cy + Y], axis=-1))
-    return blocks
+    return np.stack(blocks)
 
 
-def _assemble_blocks(blocks, tol):
-    pool = _NodePool(tol)
-    cells = []
-    for grid in blocks:
-        nu, nv = grid.shape[0] - 1, grid.shape[1] - 1
-        ids = np.empty((nu + 1, nv + 1), dtype=np.int64)
-        for i in range(nu + 1):
-            for j in range(nv + 1):
-                ids[i, j] = pool.add(grid[i, j])
-        for i in range(nu):
-            for j in range(nv):
-                cells.append((ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]))
-    return np.asarray(pool.coords, dtype=float), np.asarray(cells, dtype=np.int64)
-
-
-def _build_disk(spec):
-    cx, cy = map(float, spec.center)
+def _build_radial(spec):
+    """Disk or flower: the 5 disk blocks with shared nodes merged; a flower
+    then scales each node's polar radius by 1 + amplitude*cos(lobes*theta)."""
+    c = np.array(spec.center, dtype=float)
     r = float(spec.radius)
-    if r <= 0:
-        raise ValueError("disk radius must be positive")
-    n = int(spec.base_cells)
-    nodes, cells = _assemble_blocks(_disk_blocks(cx, cy, r, n), tol=1e-9 * r)
-
-    def project(p):
-        d = p - np.array([cx, cy])
-        return np.array([cx, cy]) + r * d / np.linalg.norm(d)
-
-    m = QuadMesh(nodes, cells, projector=project, spec=spec, level=0)
-    if np.any(m.cell_areas() <= 0):
-        raise ValueError("disk mesh has non-positive cells")
-    return m
-
-
-def _build_flower(spec):
-    cx, cy = map(float, spec.center)
-    r = float(spec.radius)
-    a = float(spec.amplitude)
+    a = float(spec.amplitude) if spec.kind == "flower" else 0.0
     lb = int(spec.lobes)
-    if r <= 0 or not (0 <= a < 1):
-        raise ValueError("flower needs radius > 0 and 0 <= amplitude < 1")
-    nodes, cells = _assemble_blocks(
-        _disk_blocks(cx, cy, r, int(spec.base_cells)), tol=1e-9 * r
-    )
-    dx = nodes[:, 0] - cx
-    dy = nodes[:, 1] - cy
-    th = np.arctan2(dy, dx)
-    g = 1.0 + a * np.cos(lb * th)
-    nodes = np.column_stack([cx + dx * g, cy + dy * g])
+    if r <= 0:
+        raise ValueError(f"{spec.kind} radius must be positive")
+    if not 0 <= a < 1:
+        raise ValueError("flower amplitude must be in [0, 1)")
+    n = int(spec.base_cells)
+    pts = _disk_blocks(c[0], c[1], r, n).reshape(-1, 2)
+    # merge block nodes by rounded coordinates, numbered by first appearance
+    keys = np.rint(pts / (1e-9 * r)).astype(np.int64)
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = rank[inv.ravel()].reshape(5, n + 1, n + 1)
+    nodes = pts[np.sort(first)]
+    # cell (i, j) of a block joins grid nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1)
+    cells = np.stack(
+        [ids[:, :-1, :-1], ids[:, 1:, :-1], ids[:, 1:, 1:], ids[:, :-1, 1:]], axis=-1
+    ).reshape(-1, 4)
+    # c + (x - c) is not x in floating point, so a disk is left unscaled
+    if a != 0:
+        d = nodes - c
+        g = 1.0 + a * np.cos(lb * np.arctan2(d[:, 1], d[:, 0]))
+        nodes = c + d * g[:, None]
 
     def project(p):
-        d = p - np.array([cx, cy])
-        theta = np.arctan2(d[1], d[0])
-        rho = r * (1.0 + a * np.cos(lb * theta))
-        return np.array([cx, cy]) + rho * d / np.linalg.norm(d)
+        d = p - c
+        rho = r * (1.0 + a * np.cos(lb * np.arctan2(d[:, 1], d[:, 0])))
+        # batched matmul rounds each row norm as np.linalg.norm of one row
+        # does; hypot, einsum and norm(axis=1) differ in the last bit
+        norm = np.sqrt(d[:, None, :] @ d[:, :, None])[:, 0]
+        return c + rho[:, None] * d / norm
 
     m = QuadMesh(nodes, cells, projector=project, spec=spec, level=0)
     if np.any(m.cell_areas() <= 0):
-        raise ValueError("flower mesh has non-positive cells")
+        raise ValueError(f"{spec.kind} mesh has non-positive cells")
     return m
 
 
@@ -321,14 +275,15 @@ def refine_uniform(m):
     """Split every cell into four via edge midpoints and the cell center.
 
     Children of cell c are 4c..4c+3. New midpoints of boundary edges are
-    projected onto the exact boundary curve when the mesh has a projector.
+    projected onto the exact boundary curve when the mesh has a projector,
+    which maps a (k, 2) array of points.
     """
     nodes = m.nodes
     cells = m.cells
     mids = 0.5 * (nodes[m.edges[:, 0]] + nodes[m.edges[:, 1]])
     if m.projector is not None:
-        for e in np.nonzero(m.boundary_edge_mask)[0]:
-            mids[e] = m.projector(mids[e])
+        b = m.boundary_edge_mask
+        mids[b] = m.projector(mids[b])
     # mean of the edge midpoints equals the vertex mean on straight cells
     # and tracks projected boundary midpoints on curved ones
     centers = mids[m.cell_to_edge].mean(axis=1)
@@ -363,18 +318,18 @@ class CellLocator:
     records ``unconverged``, the set of points whose chosen reference
     coordinates come from a Newton run that missed its tolerance, and
     ``max_miss``, the worst reference-unit distance of a point outside its
-    chosen cell before clamping.
+    chosen cell before clamping. The grid has about sqrt(cells) bins per
+    side.
     """
 
-    def __init__(self, mesh, bins=None):
+    def __init__(self, mesh):
         self.mesh = mesh
         self.quads = mesh.nodes[mesh.cells]
         self.cmin = self.quads.min(axis=1)
         self.cmax = self.quads.max(axis=1)
         self.lo = self.cmin.min(axis=0)
         self.hi = self.cmax.max(axis=0)
-        if bins is None:
-            bins = max(1, int(np.sqrt(mesh.num_cells)))
+        bins = max(1, int(np.sqrt(mesh.num_cells)))
         self.nb = bins
         span = np.maximum(self.hi - self.lo, 1e-300)
         self.inv = bins / span
@@ -386,6 +341,7 @@ class CellLocator:
         self.indptr = np.concatenate([[0], np.cumsum(np.bincount(key, minlength=bins * bins))])
         self.unconverged = set()
         self.max_miss = 0.0
+        self._last = None
 
     def _bin_idx(self, x):
         """Bin (i, j) of each point of a (k, 2) array, clipped to the grid."""
@@ -395,11 +351,6 @@ class CellLocator:
     def _overlaps(self, lo, hi):
         """(k, M) mask: cell bounding boxes meeting each box [lo, hi]."""
         return np.all((self.cmin <= hi[:, None]) & (self.cmax >= lo[:, None]), axis=2)
-
-    def candidates(self, xmin, ymin, xmax, ymax):
-        """Cells whose bounding box overlaps the query box, sorted."""
-        hit = self._overlaps(np.array([[xmin, ymin]]), np.array([[xmax, ymax]]))
-        return np.flatnonzero(hit[0]).tolist()
 
     def locate(self, pts, slack=1e-10):
         """Find the containing cell and reference coordinates per point.
@@ -412,9 +363,13 @@ class CellLocator:
         reference-unit distance outside the cell, and coordinates up to
         ``slack`` outside it (in reference units) are clamped into the
         cell. Raises ValueError when a point is farther away than that
-        from every candidate cell.
+        from every candidate cell. A call with the same points and slack
+        as the previous one returns the previous result.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        last = self._last
+        if last is not None and last[0] == slack and np.array_equal(last[1], pts):
+            return last[2]
         b = self._bin_idx(pts)
         b = b[:, 0] * self.nb + b[:, 1]
         pt, k = _segments(self.indptr[b + 1] - self.indptr[b])
@@ -438,7 +393,9 @@ class CellLocator:
             raise ValueError(f"point {tuple(p)} not inside the mesh")
         self.unconverged.update(map(tuple, pts[~converged[pick]].tolist()))
         self.max_miss = float(np.max(miss[pick], initial=self.max_miss))
-        return cell[pick], np.clip(ref[pick], 0.0, 1.0)
+        result = cell[pick], np.clip(ref[pick], 0.0, 1.0)
+        self._last = (slack, pts.copy(), result)
+        return result
 
 
 def _segments(counts):

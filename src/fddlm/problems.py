@@ -125,7 +125,11 @@ def exact_solution(example, case):
     return {"u": u, "grad_u": grad_u, "u2": u2, "grad_u2": grad_u2, "u1": u1}
 
 
-def immersed_base_for_ratio(example, h_background, ratio, max_base=96):
+# largest immersed level-0 resolution the ratio search tries
+_MAX_BASE = 96
+
+
+def immersed_base_for_ratio(example, h_background, ratio):
     """Pick the immersed level-0 resolution hitting a target h2/h ratio.
 
     Builds candidate level-0 meshes and returns the base_cells value
@@ -138,7 +142,7 @@ def immersed_base_for_ratio(example, h_background, ratio, max_base=96):
     step = 2 if kind == "lshape" else 1
     target = ratio * h_background
     best = None
-    for n in range(step, max_base + 1, step):
+    for n in range(step, _MAX_BASE + 1, step):
         h2 = build_mesh(immersed_spec(example, n), 0).h
         err = abs(h2 - target)
         if best is None or err < best[0]:

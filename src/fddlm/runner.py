@@ -32,6 +32,7 @@ __all__ = [
     "StudyResult",
     "least_squares_rate",
     "solve_level",
+    "study_meshes",
     "run_study",
     "FEFieldRef",
 ]
@@ -192,6 +193,15 @@ def build_mesh_sequence(spec, levels):
     return seq
 
 
+def study_meshes(example, base_cells, ratio, levels):
+    """Background and immersed meshes of levels 0..levels-1, and the
+    immersed base_cells whose level-0 h2 is closest to ratio * h."""
+    bg = build_mesh_sequence(problems.background_spec(example, base_cells), levels)
+    im_base = problems.immersed_base_for_ratio(example, bg[0].h, ratio)
+    im = build_mesh_sequence(problems.immersed_spec(example, im_base), levels)
+    return bg, im, im_base
+
+
 def run_study(
     example,
     case,
@@ -202,7 +212,6 @@ def run_study(
     f=1.0,
     f2=1.0,
     threads=1,
-    extra_reference_levels=None,
 ):
     """Run a refinement study of one benchmark configuration.
 
@@ -211,15 +220,11 @@ def run_study(
     ``levels + 2`` levels internally and measures level k against level
     k+2 (quadrature-point transfer), reporting rows 0..levels-1. The
     multiplier column always uses the k vs k+2 protocol with nested cell
-    averaging, so its last two rows are NaN in the exact-solution case
-    unless extra reference levels are requested. A row measured through
-    the transfer adds ``transfer_unconverged`` (distinct points whose
-    reference coordinates come from an unconverged Newton run) and
-    ``transfer_max_miss`` (worst reference-unit distance outside the
-    chosen cell before clamping) to its ``stats``.
-
-    Set ``extra_reference_levels=0`` to skip the multiplier column's
-    deeper solves (rows remain NaN where no reference exists).
+    averaging, so its last two rows are NaN in the exact-solution case.
+    A row measured through the transfer adds ``transfer_unconverged``
+    (distinct points whose reference coordinates come from an unconverged
+    Newton run) and ``transfer_max_miss`` (worst reference-unit distance
+    outside the chosen cell before clamping) to its ``stats``.
 
     ``threads`` (>= 1) has no effect: levels are solved one after another,
     since a thread pool bought no speed (the solves hold the GIL).
@@ -228,14 +233,8 @@ def run_study(
         raise ValueError("threads must be >= 1")
     beta, beta2 = problems.CASES[case]
     exact = problems.exact_solution(example, case)
-    self_conv = exact is None
-    if extra_reference_levels is None:
-        extra_reference_levels = 2 if self_conv else 0
-    total = levels + extra_reference_levels
-    bg_spec = problems.background_spec(example, base_cells)
-    bg_meshes = build_mesh_sequence(bg_spec, total)
-    im_base = problems.immersed_base_for_ratio(example, bg_meshes[0].h, ratio)
-    im_meshes = build_mesh_sequence(problems.immersed_spec(example, im_base), total)
+    total = levels + (2 if exact is None else 0)
+    bg_meshes, im_meshes, im_base = study_meshes(example, base_cells, ratio, total)
     g = exact["u1"] if exact else None
 
     data = [

@@ -52,17 +52,6 @@ __all__ = [
 ]
 
 
-def _cell_geometry(mesh, quad):
-    """Jacobians, determinants and physical points at quadrature points."""
-    dN = el.grad_matrix(el.Q1, quad.points)
-    N = el.basis_matrix(el.Q1, quad.points)
-    X = mesh.nodes[mesh.cells]
-    J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
-    det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
-    phys = np.einsum("ql,mla->mqa", N, X)
-    return J, det, phys
-
-
 def _physical_grads(fam, mesh, quad, J, det):
     """Physical basis gradients per cell and quadrature point; (M, q, nl, 2)."""
     dphi = el.grad_matrix(fam, quad.points)
@@ -98,7 +87,7 @@ def assemble_stiffness(space, coeff=1.0, quad=None):
     if quad is None:
         quad = el.gauss_square(3)
     mesh = space.mesh
-    J, det, _ = _cell_geometry(mesh, quad)
+    J, det, _ = el.cell_geometry(mesh, quad)
     g = _physical_grads(space.family, mesh, quad, J, det)
     c = _coeff_per_cell(coeff, mesh)
     ke = np.einsum("q,m,mq,mqla,mqka->mlk", quad.weights, c, det, g, g, optimize=True)
@@ -110,7 +99,7 @@ def assemble_mass(space, coeff=1.0, quad=None):
     if quad is None:
         quad = el.gauss_square(3)
     mesh = space.mesh
-    _, det, _ = _cell_geometry(mesh, quad)
+    _, det, _ = el.cell_geometry(mesh, quad)
     phi = el.basis_matrix(space.family, quad.points)
     c = _coeff_per_cell(coeff, mesh)
     me = np.einsum("q,m,mq,ql,qk->mlk", quad.weights, c, det, phi, phi, optimize=True)
@@ -122,7 +111,7 @@ def assemble_load(space, f, quad=None):
     if quad is None:
         quad = el.gauss_square(3)
     mesh = space.mesh
-    _, det, phys = _cell_geometry(mesh, quad)
+    _, det, phys = el.cell_geometry(mesh, quad)
     phi = el.basis_matrix(space.family, quad.points)
     if callable(f):
         fv = np.asarray(f(phys[:, :, 0], phys[:, :, 1]), dtype=float)
@@ -388,7 +377,7 @@ def solve_saddle(system, bc=None, rtol=1e-10):
 def _field_errors(space, coeffs, exact, exact_grad, quad):
     """Squared L2 and H1-seminorm errors of a field, element by element."""
     mesh = space.mesh
-    J, det, phys = _cell_geometry(mesh, quad)
+    J, det, phys = el.cell_geometry(mesh, quad)
     phi = el.basis_matrix(space.family, quad.points)
     g = _physical_grads(space.family, mesh, quad, J, det)
     local = coeffs[space.dof_map]

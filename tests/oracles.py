@@ -7,12 +7,16 @@ oracle of the Green's-theorem polygon moments. ``CellMap`` is the
 bilinear map of one quad and ``cell_map_inverse`` its scalar Newton
 inverse; ``locate`` and ``evaluate_grad`` place and differentiate a field
 one point at a time. They are the oracles of the batched point location.
+``build_radial_mesh`` merges the disk blocks' nodes one at a time through
+a dict and projects boundary midpoints one edge at a time; it is the
+oracle of the array-only disk and flower builder.
 """
 
 import numpy as np
 
 from fddlm.element import Q1, QuadratureRule, basis_matrix, grad_matrix
 from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
+from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
 
 
 def signed_area(poly):
@@ -246,7 +250,7 @@ def locate(mesh, pts, slack=1e-10):
         cand = _box_candidates(mesh, p, p) or _box_candidates(mesh, p - slack, p + slack)
         best = None
         for c in cand:
-            ref = cell_map_inverse(mesh.cell_polygon(c), p)[0]
+            ref = cell_map_inverse(mesh.nodes[mesh.cells[c]], p)[0]
             miss = float(np.maximum(np.maximum(-ref, ref - 1.0), 0.0).max())
             if best is None or miss < best[0]:
                 best = (miss, c, ref)
@@ -267,6 +271,88 @@ def evaluate_grad(space, coeffs, pts, locator=None, slack=1e-10):
     dphi = grad_matrix(space.family, refs)
     local = coeffs[space.dof_map[cells]]
     for k in range(cells.shape[0]):
-        J = CellMap(space.mesh.cell_polygon(cells[k])).jacobian(refs[k : k + 1])[0]
+        J = CellMap(space.mesh.nodes[space.mesh.cells[cells[k]]]).jacobian(refs[k : k + 1])[0]
         grads[k] = np.linalg.inv(J).T @ (dphi[k].T @ local[k])
     return grads
+
+
+class _NodePool:
+    """Merge block grid nodes by rounded coordinate keys."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.table = {}
+        self.coords = []
+
+    def add(self, p):
+        key = (round(p[0] / self.tol), round(p[1] / self.tol))
+        idx = self.table.get(key)
+        if idx is None:
+            idx = len(self.coords)
+            self.table[key] = idx
+            self.coords.append((float(p[0]), float(p[1])))
+        return idx
+
+
+def _assemble_blocks(blocks, tol):
+    pool = _NodePool(tol)
+    cells = []
+    for grid in blocks:
+        nu, nv = grid.shape[0] - 1, grid.shape[1] - 1
+        ids = np.empty((nu + 1, nv + 1), dtype=np.int64)
+        for i in range(nu + 1):
+            for j in range(nv + 1):
+                ids[i, j] = pool.add(grid[i, j])
+        for i in range(nu):
+            for j in range(nv):
+                cells.append((ids[i, j], ids[i + 1, j], ids[i + 1, j + 1], ids[i, j + 1]))
+    return np.asarray(pool.coords, dtype=float), np.asarray(cells, dtype=np.int64)
+
+
+def _per_edge(project):
+    """A (k, 2) projector that maps one boundary midpoint at a time."""
+    return lambda pts: np.array([project(p) for p in pts]).reshape(-1, 2)
+
+
+def _build_disk(spec):
+    cx, cy = map(float, spec.center)
+    r = float(spec.radius)
+    n = int(spec.base_cells)
+    nodes, cells = _assemble_blocks(_disk_blocks(cx, cy, r, n), tol=1e-9 * r)
+
+    def project(p):
+        d = p - np.array([cx, cy])
+        return np.array([cx, cy]) + r * d / np.linalg.norm(d)
+
+    return QuadMesh(nodes, cells, projector=_per_edge(project), spec=spec, level=0)
+
+
+def _build_flower(spec):
+    cx, cy = map(float, spec.center)
+    r = float(spec.radius)
+    a = float(spec.amplitude)
+    lb = int(spec.lobes)
+    nodes, cells = _assemble_blocks(
+        _disk_blocks(cx, cy, r, int(spec.base_cells)), tol=1e-9 * r
+    )
+    dx = nodes[:, 0] - cx
+    dy = nodes[:, 1] - cy
+    th = np.arctan2(dy, dx)
+    g = 1.0 + a * np.cos(lb * th)
+    nodes = np.column_stack([cx + dx * g, cy + dy * g])
+
+    def project(p):
+        d = p - np.array([cx, cy])
+        theta = np.arctan2(d[1], d[0])
+        rho = r * (1.0 + a * np.cos(lb * theta))
+        return np.array([cx, cy]) + rho * d / np.linalg.norm(d)
+
+    return QuadMesh(nodes, cells, projector=_per_edge(project), spec=spec, level=0)
+
+
+def build_radial_mesh(spec, level=0):
+    """Disk or flower mesh at a level, built one node and one edge at a time."""
+    m = _build_disk(spec) if spec.kind == "disk" else _build_flower(spec)
+    for _ in range(level):
+        m = refine_uniform(m)
+    return m

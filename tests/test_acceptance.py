@@ -71,9 +71,7 @@ def self_convergence():
 
 @pytest.fixture(scope="module")
 def unstable_study():
-    return _collect(
-        run_study(3, 3, "q1q1p0", levels=4, base_cells=16, extra_reference_levels=0)
-    )
+    return _collect(run_study(3, 3, "q1q1p0", levels=4, base_cells=16))
 
 
 @pytest.fixture(scope="module")

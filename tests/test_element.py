@@ -171,3 +171,15 @@ def test_cell_map_inverse_roundtrip():
     # each lane stops on its own: equal to the one-point scalar Newton
     for k in range(30):
         assert np.array_equal(back[k], cell_map_inverse(quad, x[k])[0])
+
+
+def test_invert_bilinear_stops_on_singular_jacobian():
+    # a quad folded onto a line has det J = 0 everywhere: its lane ends at
+    # once, unconverged and NaN, and the other lanes are unaffected
+    good = np.array([[0.0, 0.0], [1.5, 0.3], [1.8, 1.6], [-0.2, 1.2]])
+    flat = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+    x = np.array([[0.7, 0.6], [1.0, 1.0]])
+    ref, converged = invert_bilinear(np.stack([good, flat]), x)
+    assert converged.tolist() == [True, False]
+    assert np.isnan(ref[1]).all()
+    assert np.array_equal(ref[0], cell_map_inverse(good, x[0])[0])

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddlm import problems
-from fddlm.element import gauss_square
+from fddlm.element import cell_geometry, gauss_square
 from fddlm.mesh import CellLocator, DomainSpec, build_mesh, refine_uniform
 from fddlm.runner import build_mesh_sequence
-from fddlm.system import _cell_geometry
-from oracles import CellMap, locate
+from oracles import CellMap, build_radial_mesh, locate
 
 RECT6 = DomainSpec("rectangle", bounds=(0.0, 6.0, 0.0, 6.0), base_cells=6)
 
@@ -87,6 +86,35 @@ def test_flower_mesh_geometry():
     assert np.abs(rho - (1.0 + 0.1 * np.cos(5 * th))).max() < 1e-12
 
 
+OFF_CENTRE = [
+    DomainSpec("disk", center=(0.5, -0.25), radius=2.0, base_cells=4),
+    DomainSpec("flower", center=(0.3, 0.7), radius=1.7, amplitude=0.3, lobes=3, base_cells=4),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [DomainSpec(kind, base_cells=n) for kind in ("disk", "flower") for n in range(1, 13)]
+    + OFF_CENTRE,
+    ids=[f"{kind}-{n}" for kind in ("disk", "flower") for n in range(1, 13)]
+    + ["disk-off-centre", "flower-off-centre"],
+)
+def test_radial_builder_matches_oracle(spec):
+    # the array builder and the one-node-at-a-time builder agree bitwise
+    m, o = build_mesh(spec, 0), build_radial_mesh(spec, 0)
+    for level in range(4):
+        if level:
+            m, o = refine_uniform(m), refine_uniform(o)
+        assert np.array_equal(m.nodes, o.nodes)
+        assert np.array_equal(m.cells, o.cells)
+
+
+def test_disk_ignores_amplitude_and_lobes():
+    plain = build_mesh(DomainSpec("disk", amplitude=0.0, base_cells=3), 2)
+    other = build_mesh(DomainSpec("disk", amplitude=0.5, lobes=3, base_cells=3), 2)
+    assert np.array_equal(plain.nodes, other.nodes)
+
+
 def test_refine_uniform_nesting():
     m0 = build_mesh(RECT6)
     m1 = refine_uniform(m0)
@@ -142,19 +170,10 @@ def test_locator_on_curved_mesh():
     cells, refs = loc.locate(pts)
     assert np.all((refs >= 0) & (refs <= 1))
     for k in range(0, 200, 17):
-        cm = CellMap(m.cell_polygon(cells[k]))
+        cm = CellMap(m.nodes[m.cells[cells[k]]])
         assert cm.forward(refs[k : k + 1])[0] == pytest.approx(pts[k], abs=1e-9)
     with pytest.raises(ValueError, match="not inside"):
         loc.locate([[2.0, 0.0]])
-
-
-def test_locator_candidates_cover_query():
-    m = build_mesh(RECT6)
-    loc = CellLocator(m)
-    cand = loc.candidates(2.2, 3.1, 2.4, 3.3)
-    # query box sits inside cell (ix=2, iy=3) of the 6x6 grid
-    assert 3 * 6 + 2 in cand
-    assert cand == sorted(cand)
 
 
 @pytest.mark.parametrize("example", [1, 2, 4])
@@ -167,7 +186,7 @@ def test_locate_matches_oracle_on_transfers(example):
     fallback = 0
     for seq in (bg, im):
         for k in (0, 1):
-            pts = _cell_geometry(seq[k], gauss_square(5))[2].reshape(-1, 2)
+            pts = cell_geometry(seq[k], gauss_square(5))[2].reshape(-1, 2)
             loc = CellLocator(seq[k + 2])
             cells, refs = loc.locate(pts, slack=1.5)
             ocells, orefs = locate(seq[k + 2], pts, slack=1.5)
@@ -178,6 +197,33 @@ def test_locate_matches_oracle_on_transfers(example):
     assert (fallback > 0) == (example == 4)
 
 
+def test_locate_stops_newton_on_singular_jacobian():
+    # just outside the base-1 disk, the far cells' Newton reaches det J = 0;
+    # those lanes end as NaN and sort last, so the pick is unchanged
+    m = build_mesh(DomainSpec("disk", base_cells=1), 0)
+    pts = [[-0.70710681, 5.6e-17]]
+    cells, refs = CellLocator(m).locate(pts, slack=1.5)
+    assert cells.tolist() == [3]
+    assert np.all(np.isfinite(refs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expect = locate(m, pts, slack=1.5)
+    assert np.array_equal(cells, expect[0])
+    assert np.array_equal(refs, expect[1])
+
+
+def test_locate_reuses_the_previous_result():
+    m = build_mesh(DomainSpec("flower", base_cells=2), 1)
+    loc = CellLocator(m)
+    pts = 0.5 * m.nodes[m.cells].mean(axis=1)
+    first = loc.locate(pts)
+    assert loc.locate(pts.copy()) is first
+    other = loc.locate(pts[:3])
+    assert other is not first
+    assert np.array_equal(other[0], first[0][:3])
+    assert loc.locate(pts) is not first  # only the last call is kept
+    assert loc.locate(pts, slack=1e-8) is not loc.locate(pts)  # nor another slack
+
+
 def _probe_points(m, data):
     """Points inside cells, on cell edges and corners, and just outside
     the boundary of a mesh."""
@@ -185,7 +231,7 @@ def _probe_points(m, data):
     cells = rng.integers(0, m.num_cells, 12)
     ref = rng.uniform(0, 1, (12, 2))
     ref[4:8, rng.integers(0, 2)] = rng.integers(0, 2, 4)  # on an edge
-    pts = [CellMap(m.cell_polygon(c)).forward(r[None])[0] for c, r in zip(cells, ref)]
+    pts = [CellMap(m.nodes[m.cells[c]]).forward(r[None])[0] for c, r in zip(cells, ref)]
     pts += list(m.nodes[rng.integers(0, m.num_nodes, 3)])
     e = m.boundary_edges[rng.integers(0, m.boundary_edges.shape[0], 4)]
     a, b = m.nodes[e[:, 0]], m.nodes[e[:, 1]]
@@ -209,17 +255,17 @@ def test_locate_matches_oracle_on_random_points(kind, base, level, data):
     pts = _probe_points(m, data)
     for slack in (1e-10, 1.5):
         # a point outside the mesh runs Newton on every cell within 1.5;
-        # on a far cell the iterate can hit a singular Jacobian in both
-        # implementations, and the pick must still agree
-        with np.errstate(divide="ignore", invalid="ignore"):
-            try:
+        # on a far cell the oracle's iterate can hit a singular Jacobian,
+        # which the batched Newton stops at without a warning
+        try:
+            with np.errstate(divide="ignore", invalid="ignore"):
                 expect = locate(m, pts, slack)
-            except ValueError as err:
-                with pytest.raises(ValueError, match="not inside") as got:
-                    CellLocator(m).locate(pts, slack)
-                assert str(got.value) == str(err)
-                continue
-            cells, refs = CellLocator(m).locate(pts, slack)
+        except ValueError as err:
+            with pytest.raises(ValueError, match="not inside") as got:
+                CellLocator(m).locate(pts, slack)
+            assert str(got.value) == str(err)
+            continue
+        cells, refs = CellLocator(m).locate(pts, slack)
         assert np.array_equal(cells, expect[0])
         assert np.array_equal(refs, expect[1])
 
