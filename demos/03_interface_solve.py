@@ -41,8 +41,8 @@ errs = error_norms(
 )
 print(f"dofs: background {data.dims['n']}, immersed {data.dims['n2']}, "
       f"multiplier {data.dims['m']}")
-print(f"residual {data.residual:.2e}, constraint {data.constraint_res:.2e}, "
-      f"multiplier mean {data.lambda_mass:.2e}")
+print(f"residual {data.sol.residual:.2e}, "
+      f"constraint {data.sol.constraint_res:.2e}, multiplier mean {data.lambda_mass:.2e}")
 for k, v in errs.items():
     print(f"  {k:6s} = {v:.4e}")
 

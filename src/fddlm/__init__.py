@@ -12,7 +12,7 @@ from .element import P0, Q1, Q1B, Q2, gauss_square
 from .infsup import InfSupReport, infsup_constant, infsup_sweep
 from .mesh import DomainSpec, QuadMesh, build_mesh, refine_uniform
 from .runner import run_study, solve_level
-from .space import DirichletBC, FeSpace, build_space, dirichlet_bc, evaluate, interpolate
+from .space import DirichletBC, FeSpace, build_space, dirichlet_bc, evaluate
 from .system import (
     BlockSystem,
     SolutionTriple,
@@ -51,7 +51,6 @@ __all__ = [
     "build_space",
     "dirichlet_bc",
     "evaluate",
-    "interpolate",
     "BlockSystem",
     "SolutionTriple",
     "SolverError",

@@ -2,11 +2,9 @@
 
 Subcommands: solve, convergence, infsup, mesh-export. A JSON config file
 selects the benchmark (example, case, element, levels, ratio,
-base_cells); --output sets the output directory. --threads (>= 1) is
-accepted for compatibility and has no effect: study levels are solved one
-after another. Every output file embeds the fully resolved
-config, and float formatting is fixed so identical configs produce byte
-identical CSV files.
+base_cells); --output sets the output directory. Every output file
+embeds the fully resolved config, and float formatting is fixed so
+identical configs produce byte identical CSV files.
 """
 
 import argparse
@@ -43,7 +41,6 @@ class RunConfig:
     base_cells: int = 16
     infsup_base: int = 0  # 0 = per-geometry default
     output_dir: str = "out"
-    threads: int = 1
 
 
 _INFSUP_BASE_DEFAULT = {"square_patch": 2, "lshape": 2, "disk": 1, "flower": 1}
@@ -93,8 +90,6 @@ def load_config(path=None, overrides=None):
         raise ConfigError("base_cells must be >= 2")
     if cfg.infsup_base < 0:
         raise ConfigError("infsup_base must be >= 0 (0 = per-geometry default)")
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     return cfg
 
 
@@ -140,13 +135,13 @@ def cmd_solve(cfg):
     summary = {
         "config": asdict(cfg),
         "level": level,
-        "h": data.h,
-        "h2": data.h2,
+        "h": bg.h,
+        "h2": t2.h,
         "immersed_base": im_base,
         "dims": data.dims,
         "stats": data.sol.stats,
-        "residual": data.residual,
-        "constraint_res": data.constraint_res,
+        "residual": data.sol.residual,
+        "constraint_res": data.sol.constraint_res,
         "lambda_mass": data.lambda_mass,
         "outputs": ["solution_u.vtk", "solution_u2.vtk"],
     }
@@ -177,7 +172,6 @@ def cmd_convergence(cfg):
         cfg.levels,
         base_cells=cfg.base_cells,
         ratio=cfg.ratio,
-        threads=cfg.threads,
     )
     csv_path = os.path.join(outdir, "rates.csv")
     cols = list(ERROR_COLUMNS)
@@ -274,12 +268,9 @@ def main(argv=None):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--output", help="output directory (overrides config)")
-        p.add_argument("--threads", type=int, help="accepted for compatibility; no effect")
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(
-            args.config, {"output_dir": args.output, "threads": args.threads}
-        )
+        cfg = load_config(args.config, {"output_dir": args.output})
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

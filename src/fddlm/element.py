@@ -23,7 +23,6 @@ __all__ = [
     "Q2",
     "Q1B",
     "P0",
-    "family",
     "basis_matrix",
     "grad_matrix",
     "QuadratureRule",
@@ -48,21 +47,6 @@ Q1 = ElementFamily("q1", 4)
 Q2 = ElementFamily("q2", 9)
 Q1B = ElementFamily("q1b", 5)
 P0 = ElementFamily("p0", 1)
-
-_FAMILIES = {f.tag: f for f in (Q1, Q2, Q1B, P0)}
-
-
-def family(tag):
-    """Look up an element family by tag."""
-    if isinstance(tag, ElementFamily):
-        return tag
-    try:
-        return _FAMILIES[tag]
-    except KeyError:
-        raise ValueError(
-            f"unknown element family {tag!r}; valid tags: {sorted(_FAMILIES)}"
-        ) from None
-
 
 # q2 tensor indices (ix, iy) into the 1d lattice {0, 0.5, 1}, dof order:
 # 4 corners, 4 edge midpoints (bottom, right, top, left), center.
@@ -89,14 +73,13 @@ def basis_matrix(fam, pts):
 
     Parameters
     ----------
-    fam : ElementFamily or str
+    fam : ElementFamily
     pts : (k, 2) array_like of reference coordinates in [0, 1]^2
 
     Returns
     -------
     (k, ndofs) ndarray
     """
-    fam = family(fam)
     p = np.atleast_2d(np.asarray(pts, dtype=float))
     x = p[:, 0]
     y = p[:, 1]
@@ -122,7 +105,6 @@ def basis_matrix(fam, pts):
 
 def grad_matrix(fam, pts):
     """Reference gradients of all basis functions at points; (k, ndofs, 2)."""
-    fam = family(fam)
     p = np.atleast_2d(np.asarray(pts, dtype=float))
     x = p[:, 0]
     y = p[:, 1]

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 from . import element as el
 from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
-from .runner import ELEMENTS
+from .runner import element_families
 from .space import build_space
 from .system import assemble_mass, assemble_stiffness
 
@@ -141,13 +141,9 @@ def infsup_sweep(element, spec, levels):
     levels : int
         Number of refinement levels (>= 1).
     """
-    if element not in ELEMENTS:
-        raise ValueError(
-            f"unknown element tag {element!r}; valid tags: {sorted(ELEMENTS)}"
-        )
+    fam = element_families(element)[1]
     if levels < 1:
         raise ValueError("levels must be >= 1")
-    fam = ELEMENTS[element][1]
     report = InfSupReport(element=element, geometry=spec.kind)
     t2 = build_mesh(spec, 0)
     for lvl in range(levels):

@@ -91,9 +91,14 @@ class QuadMesh:
             [c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 3]], c[:, [3, 0]]], axis=0
         )
         pairs = np.sort(pairs, axis=1)
-        self.edges, inv, counts = np.unique(
-            pairs, axis=0, return_inverse=True, return_counts=True
+        # one int64 key per sorted pair, ordered as the pairs lexicographically
+        _, first, inv, counts = np.unique(
+            pairs[:, 0] * self.num_nodes + pairs[:, 1],
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
         )
+        self.edges = pairs[first]
         m = self.num_cells
         self.cell_to_edge = inv.reshape(4, m).T
         self.boundary_edge_mask = counts == 1
@@ -242,10 +247,17 @@ def _build_radial(spec):
     pts = _disk_blocks(c[0], c[1], r, n).reshape(-1, 2)
     # merge block nodes by rounded coordinates, numbered by first appearance
     keys = np.rint(pts / (1e-9 * r)).astype(np.int64)
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # group equal keys: the stable lexsort puts each group's first
+    # appearance first
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    k = keys[order]
+    new = np.concatenate([[True], np.any(k[1:] != k[:-1], axis=1)])
+    first = order[new]
+    inv = np.empty_like(order)
+    inv[order] = np.cumsum(new) - 1
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
-    ids = rank[inv.ravel()].reshape(5, n + 1, n + 1)
+    ids = rank[inv].reshape(5, n + 1, n + 1)
     nodes = pts[np.sort(first)]
     # cell (i, j) of a block joins grid nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     cells = np.stack(

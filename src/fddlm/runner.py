@@ -30,6 +30,7 @@ __all__ = [
     "ELEMENTS",
     "LevelData",
     "StudyResult",
+    "element_families",
     "least_squares_rate",
     "solve_level",
     "study_meshes",
@@ -67,18 +68,12 @@ def least_squares_rate(h, err):
 class LevelData:
     """Everything produced by one coupled solve."""
 
-    level: int
     t: object
     t2: object
     vh: object
     v2: object
-    lh: object
     sol: object
-    h: float
-    h2: float
     dims: dict
-    residual: float
-    constraint_res: float
     lambda_mass: float
 
 
@@ -133,7 +128,8 @@ class FEFieldRef:
         return g[:, 0].reshape(np.shape(x)), g[:, 1].reshape(np.shape(x))
 
 
-def _families(element):
+def element_families(element):
+    """(background, immersed) families of an element tag; ValueError if unknown."""
     if element not in ELEMENTS:
         raise ValueError(
             f"unknown element tag {element!r}; valid tags: {sorted(ELEMENTS)}"
@@ -141,7 +137,7 @@ def _families(element):
     return ELEMENTS[element]
 
 
-def solve_level(t, t2, element, beta, beta2, f=1.0, f2=1.0, g=None, table=None):
+def solve_level(t, t2, element, beta, beta2, g=None):
     """Assemble and solve the coupled system on one mesh pair.
 
     Parameters
@@ -149,39 +145,29 @@ def solve_level(t, t2, element, beta, beta2, f=1.0, f2=1.0, g=None, table=None):
     t, t2 : background and immersed meshes.
     element : elm1 | elm2 | q1q1p0.
     beta, beta2 : diffusion coefficients outside/inside.
-    f, f2 : loads (constants or callables).
     g : Dirichlet data on the box boundary (None = homogeneous).
-    table : optional precomputed CouplingTable for (t2, t).
+
+    The loads are f = f2 = 1.
     """
-    fam_h, fam_2 = _families(element)
+    fam_h, fam_2 = element_families(element)
     vh = build_space(t, fam_h)
     v2 = build_space(t2, fam_2)
     lh = build_space(t2, el.P0)
-    if table is None:
-        table = build_intersections(t2, t)
-    C1 = assemble_C1(table, lh, vh)
+    C1 = assemble_C1(build_intersections(t2, t), lh, vh)
     C2 = assemble_C2(lh, v2)
     A1 = assemble_A1(vh, beta)
     A2 = assemble_A2(v2, beta, beta2)
-    F1, F2 = assemble_rhs(vh, v2, f, f2)
+    F1, F2 = assemble_rhs(vh, v2)
     system = BlockSystem(A1, A2, C1, C2, F1, F2)
-    bc = dirichlet_bc(vh, g)
-    sol = solve_saddle(system, bc)
-    areas = t2.cell_areas()
+    sol = solve_saddle(system, dirichlet_bc(vh, g))
     return LevelData(
-        level=t.level,
         t=t,
         t2=t2,
         vh=vh,
         v2=v2,
-        lh=lh,
         sol=sol,
-        h=t.h,
-        h2=t2.h,
         dims={"n": vh.ndofs, "n2": v2.ndofs, "m": lh.ndofs},
-        residual=sol.residual,
-        constraint_res=sol.constraint_res,
-        lambda_mass=float(np.sum(sol.lam * areas)),
+        lambda_mass=float(np.sum(sol.lam * t2.cell_areas())),
     )
 
 
@@ -209,8 +195,6 @@ def run_study(
     levels,
     base_cells=16,
     ratio=1.0,
-    f=1.0,
-    f2=1.0,
     threads=1,
 ):
     """Run a refinement study of one benchmark configuration.
@@ -226,11 +210,10 @@ def run_study(
     Newton run) and ``transfer_max_miss`` (worst reference-unit distance
     outside the chosen cell before clamping) to its ``stats``.
 
-    ``threads`` (>= 1) has no effect: levels are solved one after another,
-    since a thread pool bought no speed (the solves hold the GIL).
+    ``threads`` has no effect: levels are solved one after another. It
+    survives only because the benchmark's worker (perfbench/worker.py)
+    passes it, until the benchmark revision (ROADMAP item 5) drops it.
     """
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     beta, beta2 = problems.CASES[case]
     exact = problems.exact_solution(example, case)
     total = levels + (2 if exact is None else 0)
@@ -238,7 +221,7 @@ def run_study(
     g = exact["u1"] if exact else None
 
     data = [
-        solve_level(bg_meshes[k], im_meshes[k], element, beta, beta2, f=f, f2=f2, g=g)
+        solve_level(bg_meshes[k], im_meshes[k], element, beta, beta2, g=g)
         for k in range(total)
     ]
 
@@ -247,10 +230,10 @@ def run_study(
     for k in range(levels):
         d = data[k]
         res.levels.append(k)
-        res.h.append(d.h)
-        res.h2.append(d.h2)
-        res.residuals.append(d.residual)
-        res.constraint_res.append(d.constraint_res)
+        res.h.append(d.t.h)
+        res.h2.append(d.t2.h)
+        res.residuals.append(d.sol.residual)
+        res.constraint_res.append(d.sol.constraint_res)
         res.lambda_mass.append(d.lambda_mass)
         res.dims.append(d.dims)
         stats = dict(d.sol.stats)

@@ -1,4 +1,4 @@
-"""Finite element spaces on quad meshes: dof maps, interpolation, evaluation.
+"""Finite element spaces on quad meshes: dof maps, boundary dofs, evaluation.
 
 Global dof ordering: nodal dofs first (mesh node order), then edge dofs
 (lexicographic sorted-node-pair order), then cell dofs (cell order). For
@@ -13,7 +13,6 @@ from .mesh import CellLocator
 __all__ = [
     "FeSpace",
     "build_space",
-    "interpolate",
     "dirichlet_dofs",
     "DirichletBC",
     "dirichlet_bc",
@@ -50,7 +49,6 @@ class FeSpace:
 
 def build_space(mesh, fam):
     """Build the dof layout of a family on a mesh."""
-    fam = el.family(fam)
     nn = mesh.num_nodes
     mc = mesh.num_cells
     cell_centers = mesh.nodes[mesh.cells].mean(axis=1)
@@ -76,21 +74,6 @@ def build_space(mesh, fam):
         cents = np.einsum("mka,mk->ma", p + pn, cross) / (3.0 * cross.sum(axis=1))[:, None]
         return FeSpace(mesh, fam, np.arange(mc, dtype=np.int64)[:, None], mc, cents)
     raise ValueError(f"unhandled family {fam.tag}")
-
-
-def interpolate(space, g):
-    """Nodal interpolation of a function into the space.
-
-    g is called with coordinate arrays (x, y). Bubble dofs are set to
-    zero; p0 dofs take the cell-centroid value.
-    """
-    x = space.dof_coords[:, 0]
-    y = space.dof_coords[:, 1]
-    vals = np.asarray(g(x, y), dtype=float)
-    vals = np.broadcast_to(vals, x.shape).copy()
-    if space.family.tag == "q1b":
-        vals[space.mesh.num_nodes:] = 0.0
-    return vals
 
 
 def dirichlet_dofs(space):

@@ -65,15 +65,6 @@ def _physical_grads(fam, mesh, quad, J, det):
     return np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
 
 
-def _coeff_per_cell(coeff, mesh):
-    c = np.asarray(coeff, dtype=float)
-    if c.ndim == 0:
-        return np.full(mesh.num_cells, float(c))
-    if c.shape != (mesh.num_cells,):
-        raise ValueError("per-cell coefficient must have one value per cell")
-    return c
-
-
 def _scatter(space, cellvals):
     nl = space.family.ndofs
     rows = np.repeat(space.dof_map, nl, axis=1).ravel()
@@ -83,41 +74,36 @@ def _scatter(space, cellvals):
 
 
 def assemble_stiffness(space, coeff=1.0, quad=None):
-    """Weighted stiffness matrix; coeff is a scalar or per-cell array."""
+    """Stiffness matrix weighted by the scalar coeff."""
     if quad is None:
         quad = el.gauss_square(3)
     mesh = space.mesh
     J, det, _ = el.cell_geometry(mesh, quad)
     g = _physical_grads(space.family, mesh, quad, J, det)
-    c = _coeff_per_cell(coeff, mesh)
+    c = np.full(mesh.num_cells, float(coeff))
     ke = np.einsum("q,m,mq,mqla,mqka->mlk", quad.weights, c, det, g, g, optimize=True)
     return _scatter(space, ke)
 
 
 def assemble_mass(space, coeff=1.0, quad=None):
-    """Weighted mass matrix."""
+    """Mass matrix weighted by the scalar coeff."""
     if quad is None:
         quad = el.gauss_square(3)
     mesh = space.mesh
     _, det, _ = el.cell_geometry(mesh, quad)
     phi = el.basis_matrix(space.family, quad.points)
-    c = _coeff_per_cell(coeff, mesh)
+    c = np.full(mesh.num_cells, float(coeff))
     me = np.einsum("q,m,mq,ql,qk->mlk", quad.weights, c, det, phi, phi, optimize=True)
     return _scatter(space, me)
 
 
 def assemble_load(space, f, quad=None):
-    """Load vector of a scalar source; f is a constant or f(x, y)."""
+    """Load vector of the constant source f."""
     if quad is None:
         quad = el.gauss_square(3)
-    mesh = space.mesh
-    _, det, phys = el.cell_geometry(mesh, quad)
+    _, det, _ = el.cell_geometry(space.mesh, quad)
     phi = el.basis_matrix(space.family, quad.points)
-    if callable(f):
-        fv = np.asarray(f(phys[:, :, 0], phys[:, :, 1]), dtype=float)
-        fv = np.broadcast_to(fv, det.shape)
-    else:
-        fv = np.full_like(det, float(f))
+    fv = np.full_like(det, float(f))
     fe = np.einsum("q,mq,mq,ql->ml", quad.weights, det, fv, phi, optimize=True)
     vec = np.zeros(space.ndofs)
     np.add.at(vec, space.dof_map.ravel(), fe.ravel())
@@ -131,22 +117,12 @@ def assemble_A1(space, beta):
 
 def assemble_A2(space, beta, beta2):
     """Immersed correction block ((beta2 - beta) * stiffness)."""
-    b = np.asarray(beta, dtype=float)
-    b2 = np.asarray(beta2, dtype=float)
-    return assemble_stiffness(space, coeff=b2 - b)
+    return assemble_stiffness(space, coeff=beta2 - beta)
 
 
 def assemble_rhs(vh_space, v2_space, f=1.0, f2=1.0):
     """Right hand sides F1 = (f, v) on the box and F2 = (f2 - f, v2)."""
-    F1 = assemble_load(vh_space, f)
-    if callable(f) or callable(f2):
-        fx = f if callable(f) else (lambda x, y, c=float(f): np.full_like(x, c))
-        f2x = f2 if callable(f2) else (lambda x, y, c=float(f2): np.full_like(x, c))
-        diff = lambda x, y: f2x(x, y) - fx(x, y)
-    else:
-        diff = float(f2) - float(f)
-    F2 = assemble_load(v2_space, diff)
-    return F1, F2
+    return assemble_load(vh_space, f), assemble_load(v2_space, float(f2) - float(f))
 
 
 @dataclass
@@ -393,26 +369,18 @@ def _field_errors(space, coeffs, exact, exact_grad, quad):
     return l2, h1
 
 
-def error_norms(
-    sol,
-    vh_space,
-    v2_space,
-    exact_u,
-    exact_u_grad,
-    exact_u2,
-    exact_u2_grad,
-    quad_n=5,
-):
+# 5x5 Gauss, exact to degree 9: two orders above the assembly default
+_ERROR_QUAD = el.gauss_square(5)
+
+
+def error_norms(sol, vh_space, v2_space, exact_u, exact_u_grad, exact_u2, exact_u2_grad):
     """Error norms against (vectorized) reference fields.
 
     Reported norms follow the analysis: the background error in H1 is the
     seminorm |u - u_h|_1, the immersed error is the full H1 norm.
-    Element-wise quadrature of exactness degree 2*quad_n - 1 (two orders
-    above the assembly default).
     """
-    quad = el.gauss_square(quad_n)
-    l2u, h1u = _field_errors(vh_space, sol.u, exact_u, exact_u_grad, quad)
-    l2u2, h1u2 = _field_errors(v2_space, sol.u2, exact_u2, exact_u2_grad, quad)
+    l2u, h1u = _field_errors(vh_space, sol.u, exact_u, exact_u_grad, _ERROR_QUAD)
+    l2u2, h1u2 = _field_errors(v2_space, sol.u2, exact_u2, exact_u2_grad, _ERROR_QUAD)
     return {
         "L2_u": np.sqrt(l2u),
         "H1_u": np.sqrt(h1u),
@@ -425,12 +393,21 @@ def project_p0(values_fine, fine_mesh, coarse_mesh):
     """Area-weighted average of nested fine p0 values per coarse cell.
 
     Requires the fine mesh to be an iterated uniform refinement of the
-    coarse one (children of cell c are 4c..4c+3 per level).
+    coarse one (children of cell c are 4c..4c+3 per level), checked by the
+    invariants of ``refine_uniform``: the fine nodes start with the coarse
+    nodes, and the first descendant of coarse cell c, fine cell ratio * c,
+    shares its first node.
     """
     mf = fine_mesh.num_cells
     mc = coarse_mesh.num_cells
     ratio = mf // mc
-    if mc * ratio != mf or ratio & (ratio - 1):
+    nested = (
+        mc * ratio == mf
+        and ratio == 4 ** ((ratio.bit_length() - 1) // 2)
+        and np.array_equal(fine_mesh.nodes[: coarse_mesh.num_nodes], coarse_mesh.nodes)
+        and np.array_equal(fine_mesh.cells[::ratio, 0], coarse_mesh.cells[:, 0])
+    )
+    if not nested:
         raise ValueError("meshes are not nested uniform refinements")
     areas = fine_mesh.cell_areas()
     num = (np.asarray(values_fine) * areas).reshape(mc, ratio).sum(axis=1)

@@ -9,7 +9,10 @@ inverse; ``locate`` and ``evaluate_grad`` place and differentiate a field
 one point at a time. They are the oracles of the batched point location.
 ``build_radial_mesh`` merges the disk blocks' nodes one at a time through
 a dict and projects boundary midpoints one edge at a time; it is the
-oracle of the array-only disk and flower builder.
+oracle of the array-only disk and flower builder. ``interpolate`` sets
+a space's dofs from a function's values at its dof points, to build
+fields whose value the tests know. ``edge_table`` finds a mesh's edges
+by a row-wise ``np.unique``; it is the oracle of the one-key edge table.
 """
 
 import numpy as np
@@ -17,6 +20,32 @@ import numpy as np
 from fddlm.element import Q1, QuadratureRule, basis_matrix, grad_matrix
 from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
 from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
+
+
+def interpolate(space, g):
+    """Nodal interpolation of a function into the space.
+
+    g is called with coordinate arrays (x, y). Bubble dofs are set to
+    zero; p0 dofs take the cell-centroid value.
+    """
+    x = space.dof_coords[:, 0]
+    y = space.dof_coords[:, 1]
+    vals = np.asarray(g(x, y), dtype=float)
+    vals = np.broadcast_to(vals, x.shape).copy()
+    if space.family.tag == "q1b":
+        vals[space.mesh.num_nodes:] = 0.0
+    return vals
+
+
+def edge_table(cells):
+    """Sorted node pairs of a quad mesh's edges in lexicographic order, each
+    cell's four edge indices, and the mask of edges that one cell uses."""
+    c = np.asarray(cells)
+    pairs = np.concatenate([c[:, [0, 1]], c[:, [1, 2]], c[:, [2, 3]], c[:, [3, 0]]])
+    edges, inv, counts = np.unique(
+        np.sort(pairs, axis=1), axis=0, return_inverse=True, return_counts=True
+    )
+    return edges, inv.reshape(4, -1).T, counts == 1
 
 
 def signed_area(poly):

@@ -59,10 +59,10 @@ def test_load_config_defaults_file_overrides(tmp_path):
     assert cfg == RunConfig()
     # a float field takes a JSON integer
     path = write_cfg(tmp_path, example=1, levels=3, element="elm2", ratio=2)
-    cfg = load_config(path, {"output_dir": "res", "threads": 2, "example": None})
+    cfg = load_config(path, {"output_dir": "res", "example": None})
     assert cfg.example == 1 and cfg.levels == 3 and cfg.element == "elm2"
     assert cfg.ratio == 2
-    assert cfg.output_dir == "res" and cfg.threads == 2
+    assert cfg.output_dir == "res"
 
 
 def test_config_validation(tmp_path):
@@ -75,7 +75,6 @@ def test_config_validation(tmp_path):
         {"ratio": -1.0},
         {"base_cells": 1},
         {"infsup_base": -1},
-        {"threads": 0},
         {"example": 7},
         {"case": 5},
     ):
@@ -193,13 +192,20 @@ def test_convergence_smoke_and_determinism(tmp_path):
     assert main(["convergence", "--config", cfg, "--output", str(out)]) == 0
     assert (out / "rates.csv").read_text() == csv1
 
-    # thread count changes only the embedded config line
-    out2 = tmp_path / "conv2"
-    rc = main(["convergence", "--config", cfg, "--output", str(out2), "--threads", "2"])
-    assert rc == 0
-    lines2 = (out2 / "rates.csv").read_text().splitlines()
-    assert lines2[0] != lines[0]
-    assert lines2[1:] == lines[1:]
+
+def test_threads_knob_removed(tmp_path, capsys):
+    # the old no-op threads key and --threads option are unknown now
+    with pytest.raises(ConfigError, match="valid keys") as exc:
+        load_config(write_cfg(tmp_path, "t.json", threads=1))
+    assert "['threads']" in str(exc.value)
+    assert all(repr(k) in str(exc.value) for k in RunConfig.__dataclass_fields__)
+    cfg = write_cfg(tmp_path, example=1, levels=3, base_cells=4)
+    out = tmp_path / "conv"
+    with pytest.raises(SystemExit) as stop:
+        main(["convergence", "--config", cfg, "--output", str(out), "--threads", "2"])
+    assert stop.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_infsup_smoke(tmp_path, capsys):

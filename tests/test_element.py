@@ -11,7 +11,6 @@ from fddlm.element import (
     Q1B,
     Q2,
     basis_matrix,
-    family,
     gauss_square,
     grad_matrix,
     invert_bilinear,
@@ -28,12 +27,9 @@ Q2_NODES = np.array(
 )
 
 
-def test_family_lookup():
-    assert family("q1") is Q1
-    assert family(Q2) is Q2
+def test_family_dof_counts():
     assert (Q1.ndofs, Q2.ndofs, Q1B.ndofs, P0.ndofs) == (4, 9, 5, 1)
-    with pytest.raises(ValueError, match="valid tags"):
-        family("q3")
+    assert [f.tag for f in (Q1, Q2, Q1B, P0)] == ["q1", "q2", "q1b", "p0"]
 
 
 def test_nodal_basis_is_kronecker():

@@ -9,7 +9,7 @@ from fddlm import problems
 from fddlm.element import cell_geometry, gauss_square
 from fddlm.mesh import CellLocator, DomainSpec, build_mesh, refine_uniform
 from fddlm.runner import build_mesh_sequence
-from oracles import CellMap, build_radial_mesh, locate
+from oracles import CellMap, build_radial_mesh, edge_table, locate
 
 RECT6 = DomainSpec("rectangle", bounds=(0.0, 6.0, 0.0, 6.0), base_cells=6)
 
@@ -154,6 +154,10 @@ def test_refinement_invariants(spec):
     for m in seq:
         assert np.all(np.isfinite(m.nodes))
         assert all_cells_ccw_convex(m)
+        edges, cell_to_edge, boundary = edge_table(m.cells)
+        assert np.array_equal(m.edges, edges)
+        assert np.array_equal(m.cell_to_edge, cell_to_edge)
+        assert np.array_equal(m.boundary_edge_mask, boundary)
     for k in range(4):
         assert 0.45 <= hs[k + 1] / hs[k] <= 0.55
         # shape regularity cannot collapse under refinement

@@ -12,8 +12,8 @@ from fddlm.space import (
     dirichlet_dofs,
     evaluate,
     evaluate_grad,
-    interpolate,
 )
+from oracles import interpolate
 
 UNIT2 = DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=2)
 

@@ -29,7 +29,7 @@ from fddlm.system import (
     project_p0,
     solve_saddle,
 )
-from oracles import CellMap
+from oracles import CellMap, interpolate
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
 # -1/6, diagonal neighbours -1/3
@@ -125,13 +125,7 @@ def test_mass_matrix_oracle():
 def test_load_oracles():
     s = unit_cell_space()
     assert assemble_load(s, 1.0) == pytest.approx(np.full(4, 0.25), abs=1e-14)
-    fx = assemble_load(s, lambda x, y: x)
-    order = np.argsort(s.dof_coords[:, 0], kind="stable")
-    expect = np.empty(4)
-    expect[s.dof_coords[:, 0] < 0.5] = 1.0 / 12.0
-    expect[s.dof_coords[:, 0] > 0.5] = 1.0 / 6.0
-    assert fx == pytest.approx(expect, abs=1e-14)
-    assert order is not None
+    assert assemble_load(s, -3.0) == pytest.approx(np.full(4, -0.75), abs=1e-14)
 
 
 def test_a2_scaling_and_kernel():
@@ -350,6 +344,27 @@ def test_project_p0_nested_average():
     other = build_mesh(DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=3))
     with pytest.raises(ValueError, match="nested"):
         project_p0(np.zeros(9), other, coarse)
+    # 16 cells over 4, but numbered row by row, not as children 4c..4c+3:
+    # cell averaging would give 0.5 everywhere instead of 0.25, 0.75, ...
+    rows = build_mesh(DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=4))
+    x_centres = rows.nodes[rows.cells].mean(axis=1)[:, 0]
+    with pytest.raises(ValueError, match="nested"):
+        project_p0(x_centres, rows, coarse)
+    # 8 cells over 1: a power of two, but no uniform refinement
+    tall = build_mesh(DomainSpec("rectangle", bounds=(0, 1, 0, 2), base_cells=2))
+    one = build_mesh(DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=1))
+    assert (tall.num_cells, one.num_cells) == (8, 1)
+    with pytest.raises(ValueError, match="nested"):
+        project_p0(np.zeros(8), tall, one)
+    # nested pairs of every example's immersed geometry, levels 0-3
+    for example in problems.EXAMPLES:
+        seq = [build_mesh(problems.immersed_spec(example, 2), 0)]
+        for _ in range(3):
+            seq.append(refine_uniform(seq[-1]))
+        for k in range(3):
+            for j in range(k + 1, 4):
+                ones = np.ones(seq[j].num_cells)
+                assert project_p0(ones, seq[j], seq[k]) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_multiplier_error_closed_forms():
@@ -372,8 +387,6 @@ def test_error_norms_reproduction():
     vh = build_space(t, Q2)
     v2 = build_space(t2, Q2)
     g = lambda x, y: x * x * y * y
-    from fddlm.space import interpolate
-
     sol = SolutionTriple(
         u=interpolate(vh, g), u2=interpolate(v2, g), lam=np.zeros(t2.num_cells),
         residual=0.0, constraint_res=0.0,
