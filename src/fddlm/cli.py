@@ -208,7 +208,7 @@ def cmd_convergence(cfg):
 
 
 def cmd_infsup(cfg):
-    """Inf-sup sweep on the immersed geometry; writes infsup.csv."""
+    """Inf-sup sweep on the immersed geometry; writes infsup.csv and infsup.json."""
     outdir = _ensure_outdir(cfg)
     kind = problems.EXAMPLES[cfg.example]["immersed"][0]
     base = cfg.infsup_base or _INFSUP_BASE_DEFAULT[kind]
@@ -232,6 +232,20 @@ def cmd_infsup(cfg):
                 )
             )
         f.write(f"# verdict: {report.verdict()}\n")
+    payload = {
+        "config": asdict(cfg),
+        "immersed_base": spec.base_cells,
+        "levels": report.levels,
+        "h2": report.h2,
+        "dims": [{"n2": n2, "m": m} for n2, m in zip(report.dim_V2h, report.dim_Lh)],
+        "sigma_min": report.sigma_min,
+        "gamma_est": report.gamma_est,
+        "stats": report.stats,
+        "verdict": report.verdict(),
+    }
+    with open(os.path.join(outdir, "infsup.json"), "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
     return report
 
 

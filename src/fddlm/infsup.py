@@ -10,12 +10,24 @@ with N1 the multiplier mass matrix (diagonal of cell areas), N2 the H1
 matrix (stiffness + mass) of the immersed space and m = dim(Lambda_h).
 S has rank at most m, so sigma is the smallest eigenvalue of the m x m
 form W = R N2^{-1} R^T, R = (h2^2 N1)^{-1/2} C2 (Chapelle & Bathe 1993),
-zero when C2 is rank deficient. W is never formed: the lambda block of
-the inverse of the norm saddle S_eps = [[N2, R^T], [R, -eps I]], which
-is quasi-definite and so nonsingular for any C2, is -(W + eps I)^{-1}.
-One sparse LU of S_eps and shift-invert Lanczos (ARPACK) give the top
-eigenvalue mu of (W + eps I)^{-1}, and sigma = 1/mu - eps exactly. A
-stable pairing keeps sqrt(sigma) away from zero under refinement.
+zero when C2 is rank deficient. W is never formed: shift-invert Lanczos
+(ARPACK) gives the top eigenvalue mu of an inverse of W, applied through
+one sparse factor per level, by one of two routes.
+
+- Null space (elm1, elm2). Each row of C2 owns a column no other row
+  touches (the cell's bubble or centre dof, ``system.interior_columns``),
+  so R is diagonal on those columns. W^{-1} y is the multiplier of
+  min v^T N2 v under R v = y, which is solved on the null space of R
+  with the basis Z = [I; -D^-1 C2_q], as ``solve_saddle`` does (Benzi,
+  Golub & Liesen 2005, section 6): one factor of the SPD matrix
+  Z^T N2 Z, no pivoting, and sigma = 1/mu.
+- eps saddle (q1q1p0, general C2, or a Z with entries above
+  ``_GROWTH_MAX``). The lambda block of the inverse of
+  S_eps = [[N2, R^T], [R, -eps I]], which is quasi-definite and so
+  nonsingular for any C2, is -(W + eps I)^{-1}. One pivoted sparse LU
+  of S_eps, and sigma = 1/mu - eps exactly.
+
+A stable pairing keeps sqrt(sigma) away from zero under refinement.
 """
 
 from dataclasses import dataclass, field
@@ -29,7 +41,7 @@ from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
 from .runner import element_families
 from .space import build_space
-from .system import assemble_mass, assemble_stiffness
+from .system import assemble_mass, assemble_stiffness, interior_columns, null_space_basis
 
 __all__ = [
     "build_norm_matrices",
@@ -46,6 +58,11 @@ _SINGULAR_TOL = 1e-7
 # least gamma(finest) / gamma(coarsest) of a stable pairing
 _STABLE_RATIO = 0.5
 
+# largest |entry| of the null-space basis Z = [I; -D^-1 C2_q] that route
+# accepts: its rounding error grows with the square (1e-9 relative at 1e3
+# on random pencils), and on the FE pairings no entry exceeds 1
+_GROWTH_MAX = 1e2
+
 
 def build_norm_matrices(v2_space, lambda_space):
     """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix)."""
@@ -60,40 +77,100 @@ def build_norm_matrices(v2_space, lambda_space):
 
 
 def infsup_constant(C2, N1, N2, h2, stats=None):
-    """Inf-sup estimate (sigma, gamma = sqrt(sigma)) from the norm saddle.
+    """Inf-sup estimate (sigma, gamma = sqrt(sigma)) of the scaled pencil.
 
-    sigma is the m-th largest pencil eigenvalue (module docstring). A
-    ``stats`` dict receives ``factored`` (n2 + m), ``lu_fill`` (nonzeros
-    of L + U), ``matvecs`` (applications of (W + eps I)^{-1}) and ``eps``.
+    sigma is the m-th largest pencil eigenvalue, 1 / lambda_max(W^{-1})
+    (module docstring). When ``interior_columns`` finds a column for every
+    row of C2 and the basis Z of the null space of R has no entry above
+    ``_GROWTH_MAX``, W^{-1} is applied through one sparse factor of
+    Z^T N2 Z; otherwise through one LU of the eps-regularized norm
+    saddle. A ``stats`` dict receives ``factored`` (n2 - m, or n2 + m on
+    the eps route), ``lu_fill`` (nonzeros of L + U), ``matvecs``
+    (applications of the inverse) and ``eps`` (0 on the null-space route).
     Raises ``ArpackNoConvergence`` if Lanczos does not converge.
     """
     m, n2 = C2.shape
     if m > n2:
         raise ValueError("multiplier space larger than immersed space")
-    R = C2.multiply((1.0 / (h2 * np.sqrt(N1.diagonal())))[:, None]).tocsr()
-    # 1e-12 of the scale of W, which keeps the estimate scale equivariant
-    eps = 1e-12 * R.multiply(R).sum(axis=1).max() / spla.norm(N2, np.inf)
-    lu = spla.splu(sp.bmat([[N2, R.T], [R, -eps * sp.eye(m)]], format="csc"))
+    r = 1.0 / (h2 * np.sqrt(N1.diagonal()))
+    interior = interior_columns(C2)
+    if interior is not None:
+        d, Z = null_space_basis(C2, interior)
+    if interior is None or np.abs(Z.data).max(initial=1.0) > _GROWTH_MAX:
+        apply_inv, lu, eps = _saddle_inverse(C2.multiply(r[:, None]).tocsr(), N2)
+        factored = n2 + m
+    else:
+        apply_inv, lu = _null_space_inverse(d, Z, interior, r, N2)
+        eps, factored = 0.0, n2 - m
     calls = [0]
 
-    def apply_inv(b):
-        # -(S_eps^{-1} [0; b])_lambda = (W + eps I)^{-1} b, per column of b
-        calls[0] += b.size // m
-        return -lu.solve(np.concatenate([np.zeros((n2,) + b.shape[1:]), b]))[n2:]
+    def counted(y):
+        calls[0] += y.size // m
+        return apply_inv(y)
 
     if m <= 20:
         # ARPACK's default basis of min(m, 20) vectors spans the whole space
-        mu = np.linalg.eigvalsh(apply_inv(np.eye(m)))[-1]
+        mu = np.linalg.eigvalsh(counted(np.eye(m)))[-1]
     else:
         # a fixed generic start vector: repeated calls are bitwise equal
         v0 = np.random.default_rng(0).uniform(-1.0, 1.0, m)
-        op = spla.LinearOperator((m, m), matvec=apply_inv, dtype=float)
+        op = spla.LinearOperator((m, m), matvec=counted, dtype=float)
         mu = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     sigma = float(max(1.0 / mu - eps, 0.0))
     if stats is not None:
-        fill = lu.L.nnz + lu.U.nnz
-        stats.update(factored=n2 + m, lu_fill=fill, matvecs=calls[0], eps=float(eps))
+        fill = 0 if lu is None else lu.L.nnz + lu.U.nnz
+        stats.update(factored=factored, lu_fill=fill, matvecs=calls[0], eps=float(eps))
     return sigma, float(np.sqrt(sigma))
+
+
+def _null_space_inverse(d, Z, interior, r, N2):
+    """W^{-1} through the basis Z of ker R = ker C2 and one factor of Z^T N2 Z.
+
+    R v = y has the particular solution v_p = D_R^{-1} y on the interior
+    columns b, with D_R = r d; the minimizer of v^T N2 v under R v = y is
+    v = v_p + Z v_q with Z^T N2 Z v_q = -Z^T N2 v_p, and W^{-1} y =
+    (N2 v)_b / D_R. Returns the apply and the factor (None when nq = 0).
+    """
+    (n2, nq), m = Z.shape, d.size
+    # E_b D_R^{-1}: v_p = lift @ y, and W^{-1} y = lift^T (N2 v)
+    lift = sp.csr_matrix((1.0 / (r * d), (interior, np.arange(m))), shape=(n2, m))
+    N2 = sp.csr_matrix(N2)
+    lu = None
+    if nq:
+        # Z^T N2 Z is SPD, so an unpivoted minimum degree factor is stable;
+        # this module's own spla, so perfbench charges it to infsup, not system
+        lu = spla.splu(
+            (Z.T @ (N2 @ Z)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=1,
+            options={"SymmetricMode": True},
+        )
+
+    def apply_inv(y):
+        v = lift @ y
+        if lu is not None:
+            v = v + Z @ lu.solve(-(Z.T @ (N2 @ v)))
+        return lift.T @ (N2 @ v)
+
+    return apply_inv, lu
+
+
+def _saddle_inverse(R, N2):
+    """(W + eps I)^{-1} from one LU of S_eps = [[N2, R^T], [R, -eps I]].
+
+    Returns the apply, the factor and eps, 1e-12 of the scale of W, which
+    keeps the estimate scale equivariant.
+    """
+    m, n2 = R.shape
+    eps = 1e-12 * R.multiply(R).sum(axis=1).max() / spla.norm(N2, np.inf)
+    lu = spla.splu(sp.bmat([[N2, R.T], [R, -eps * sp.eye(m)]], format="csc"))
+
+    def apply_inv(y):
+        # -(S_eps^{-1} [0; y])_lambda, per column of y
+        return -lu.solve(np.concatenate([np.zeros((n2,) + y.shape[1:]), y]))[n2:]
+
+    return apply_inv, lu, eps
 
 
 @dataclass

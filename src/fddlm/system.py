@@ -45,6 +45,7 @@ __all__ = [
     "full_matrix",
     "apply_dirichlet",
     "interior_columns",
+    "null_space_basis",
     "solve_saddle",
     "error_norms",
     "project_p0",
@@ -236,6 +237,29 @@ def interior_columns(C2):
     return None if np.any(own < 0) else own
 
 
+def null_space_basis(C2, interior):
+    """Null-space map of the constraint C2 v = 0 from its ``interior`` columns.
+
+    With b = ``interior`` and q the other columns, C2 = [C2_q, D] with D
+    diagonal, so every v with C2 v = 0 is v = Z v_q for the n2 x nq basis
+    Z = [I on q; -D^-1 C2_q on b]. Returns d = diag(D) and Z (CSR).
+    """
+    n2 = C2.shape[1]
+    C2 = sp.csc_matrix(C2)
+    q = np.setdiff1d(np.arange(n2), interior)
+    d = np.asarray(C2[:, interior].sum(axis=0)).ravel()
+    nq = q.size
+    B = (sp.diags(1.0 / d) @ -C2[:, q]).tocoo()
+    Z = sp.csr_matrix(
+        (
+            np.concatenate([np.ones(nq), B.data]),
+            (np.concatenate([q, interior[B.row]]), np.concatenate([np.arange(nq), B.col])),
+        ),
+        shape=(n2, nq),
+    )
+    return d, Z
+
+
 def _condensed_solver(system, interior):
     """Factor the saddle system on the null space of its constraint rows.
 
@@ -249,17 +273,12 @@ def _condensed_solver(system, interior):
     Returns the factor and a solve of the full system through it.
     """
     n, n2 = system.n, system.n2
-    C2 = system.C2.tocsc()
-    q = np.setdiff1d(np.arange(n2), interior)
-    d = np.asarray(C2[:, interior].sum(axis=0)).ravel()
-    P = (sp.diags(1.0 / d) @ sp.hstack([system.C1, -C2[:, q]])).tocoo()
-    nq = q.size
-    S = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(nq), P.data]),
-            (np.concatenate([q, interior[P.row]]), np.concatenate([n + np.arange(nq), P.col])),
-        ),
-        shape=(n2, n + nq),
+    d, Z = null_space_basis(system.C2, interior)
+    nq = Z.shape[1]
+    # S = [E, Z] with E = D^-1 C1 on the rows of u2_b
+    E = (sp.diags(1.0 / d) @ system.C1).tocoo()
+    S = sp.hstack(
+        [sp.csr_matrix((E.data, (interior[E.row], E.col)), shape=(n2, n)), Z], format="csr"
     )
     A2 = system.A2.tocsr()
     Kc = sp.block_diag((system.A1, sp.csr_matrix((nq, nq)))) + S.T @ (A2 @ S)

@@ -31,29 +31,38 @@ def module_attrs():
     return [dict(vars(m)) for m in mods]
 
 
+def tiny_sweep():
+    return infsup.infsup_sweep("elm1", problems.immersed_spec(3, 1), 2).gamma_est
+
+
 def tiny_run():
     res = runner.run_study(4, 1, "elm1", 1, base_cells=2, threads=1)
-    rep = infsup.infsup_sweep("elm1", problems.immersed_spec(3, 1), 2)
-    return res.errors, rep.gamma_est
+    return res.errors, tiny_sweep()
 
 
-def test_spans_install_restore_and_threads():
+def traced(run):
+    """Spans of ``run`` under an installed tracer, and its result."""
     spans = load_spans()
-    before = module_attrs()
-    plain = tiny_run()
     tracer = spans.Tracer("t")
     restore = spans.install(tracer)
     try:
         with tracer.span(spans.ROOT):
-            traced = tiny_run()
+            result = run()
     finally:
         restore()
+    return tracer.spans, result
+
+
+def test_spans_install_restore_and_threads():
+    before = module_attrs()
+    plain = tiny_run()
+    spans, result = traced(tiny_run)
     assert module_attrs() == before
     # a traced run computes the same numbers as an untraced one
-    assert plain[1] == traced[1]
+    assert plain[1] == result[1]
     for col, vals in plain[0].items():
-        assert np.array_equal(vals, traced[0][col], equal_nan=True)
-    names = {s["name"] for s in tracer.spans}
+        assert np.array_equal(vals, result[0][col], equal_nan=True)
+    names = {s["name"] for s in spans}
     for name in (
         "mesh.build", "space.build", "coupling.intersect", "coupling.c1",
         "system.assemble", "system.saddle", "system.eliminate", "system.factor",
@@ -61,3 +70,12 @@ def test_spans_install_restore_and_threads():
         "runner.multiplier_err", "infsup.norms", "infsup.eig",
     ):
         assert name in names
+
+
+def test_infsup_factor_is_charged_to_infsup():
+    # the inf-sup factor goes through fddlm.infsup's own spla, so the
+    # benchmark's system layer (factor spans, sparse_solves) stays empty
+    # on the inf-sup sweep
+    names = [s["name"] for s in traced(tiny_sweep)[0]]
+    assert names.count("infsup.eig") == 2
+    assert "system.factor" not in names

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fddlm.cli import ConfigError, RunConfig, load_config, main
+from fddlm.cli import _FMT, ConfigError, RunConfig, load_config, main
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.vtk_io import write_vtk
 
@@ -220,9 +220,23 @@ def test_infsup_smoke(tmp_path, capsys):
     assert lines[-1] == "# verdict: stable"
     gammas = [float(l.split(",")[5]) for l in lines[3:-1]]
     assert len(gammas) == 3 and all(g > 0 for g in gammas)
+    record = json.loads((out / "infsup.json").read_text())
+    assert set(record) == {
+        "config", "immersed_base", "levels", "h2", "dims", "sigma_min",
+        "gamma_est", "stats", "verdict",
+    }
+    assert record["config"]["element"] == "elm1" and record["verdict"] == "stable"
+    assert record["levels"] == [0, 1, 2] and record["immersed_base"] == 1
+    assert [float(_FMT % g) for g in record["gamma_est"]] == gammas
+    for dims, s in zip(record["dims"], record["stats"]):
+        assert set(dims) == {"n2", "m"}
+        assert set(s) == {"factored", "lu_fill", "matvecs", "eps"}
+        assert s["factored"] == dims["n2"] - dims["m"] and s["eps"] == 0.0
+    js = (out / "infsup.json").read_text()
     # an identical rerun is byte identical
     assert main(["infsup", "--config", cfg, "--output", str(out)]) == 0
     assert (out / "infsup.csv").read_text() == csv
+    assert (out / "infsup.json").read_text() == js
 
 
 def test_write_vtk_validation(tmp_path):

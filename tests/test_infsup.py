@@ -1,4 +1,4 @@
-"""Inf-sup estimation: pencil and Schur oracles, equivariance, sweep mechanics."""
+"""Inf-sup estimation: pencil and Schur oracles, the two routes, sweep mechanics."""
 
 import numpy as np
 import pytest
@@ -8,9 +8,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fddlm.infsup as infsup_module
 from fddlm.coupling import assemble_C2
 from fddlm.element import P0, Q1, Q1B, Q2
 from fddlm.infsup import (
+    _GROWTH_MAX,
     _SINGULAR_TOL,
     InfSupReport,
     build_norm_matrices,
@@ -209,6 +211,72 @@ def test_matches_dense_pencil_on_random_pencils(n2, mfrac, seed, duplicate):
     assert abs(sigma - sigma_ref) <= 1e-10 * top
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(1, 24),
+    nq=st.integers(0, 10),
+    seed=st.integers(0, 2**32 - 1),
+    small=st.booleans(),
+)
+def test_null_space_route_matches_dense_pencil(m, nq, seed, small):
+    # every row owns one private column (the null-space route), plus
+    # shared columns each touched by at least two rows; nq = 0 leaves
+    # nothing to factor. A small private entry makes the basis
+    # Z = [I; -D^-1 C2_q] large; past _GROWTH_MAX the eps route is taken
+    rng = np.random.default_rng(seed)
+    n2 = m + nq
+    A = rng.standard_normal((n2, n2))
+    N2 = sp.csr_matrix(A @ A.T + 0.1 * np.eye(n2))
+    C = np.zeros((m, n2))
+    cols = rng.permutation(n2)
+    own, shared = cols[:m], cols[m:]
+    C[np.arange(m), own] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
+    if small:
+        C[0, own[0]] *= 1e-3
+    for j in shared:
+        rows = rng.choice(m, size=min(m, rng.integers(2, 5)), replace=False)
+        C[rows, j] = rng.standard_normal(rows.size)
+    C2 = sp.csr_matrix(C)
+    N1 = sp.diags(rng.uniform(0.5, 2.0, m)).tocsr()
+    h2 = rng.uniform(0.1, 1.0)
+    stats = {}
+    sigma, _ = infsup_constant(C2, N1, N2, h2, stats)
+    sigma_ref, top = _dense_pencil_sigma(C2, N1, N2, h2)
+    assert abs(sigma - sigma_ref) <= 1e-10 * top
+    # with m = 1 every column is private and the highest one is taken
+    b = infsup_module.interior_columns(C2)
+    growth = max(np.abs(C).max(axis=1) / np.abs(C[np.arange(m), b]))
+    if growth <= _GROWTH_MAX:
+        assert stats["factored"] == nq and stats["eps"] == 0.0
+    else:
+        assert stats["factored"] == n2 + m and stats["eps"] > 0
+
+
+def _eps_route(monkeypatch):
+    # without interior columns infsup_constant takes the eps-saddle route
+    monkeypatch.setattr(infsup_module, "interior_columns", lambda C2: None)
+
+
+_STABLE_LEVELS = [p for p in _CRITERION_3_LEVELS if p[0] is not Q1]
+
+
+@pytest.mark.parametrize(
+    "fam,base,level",
+    _STABLE_LEVELS,
+    ids=[f"{f.tag}-base{b}-L{lvl}" for f, b, lvl in _STABLE_LEVELS],
+)
+def test_null_space_route_matches_eps_route(fam, base, level, monkeypatch):
+    C2, N1, N2, h2 = small_setup(fam, level=level, base=base)
+    fast, slow = {}, {}
+    sigma = infsup_constant(C2, N1, N2, h2, fast)[0]
+    _eps_route(monkeypatch)
+    sigma_eps = infsup_constant(C2, N1, N2, h2, slow)[0]
+    assert sigma == pytest.approx(sigma_eps, rel=1e-12)
+    assert fast["eps"] == 0.0 and slow["eps"] > 0
+    assert fast["factored"] == C2.shape[1] - C2.shape[0]
+    assert fast["lu_fill"] < slow["lu_fill"]
+
+
 def test_verdict_logic():
     def rep(gammas):
         r = InfSupReport(element="elm1", geometry="disk")
@@ -224,19 +292,31 @@ def test_verdict_logic():
     assert rep([2e-9, 4e-9, 1e-9]).verdict() == "degenerating"
 
 
-def test_sweep_mechanics():
+def test_sweep_mechanics(monkeypatch):
     report = infsup_sweep("elm1", DomainSpec("disk", base_cells=1), 3)
     assert report.levels == [0, 1, 2]
     assert all(b < a for a, b in zip(report.h2, report.h2[1:]))
     assert all(b > a for a, b in zip(report.dim_V2h, report.dim_V2h[1:]))
     assert all(g > 0 for g in report.gamma_est)
     assert report.dim_Lh == [5, 20, 80]
+    # elm1 takes the null-space route: Z^T N2 Z of order n2 - m, no eps
     assert [s["factored"] for s in report.stats] == [
-        n2 + m for n2, m in zip(report.dim_V2h, report.dim_Lh)
+        n2 - m for n2, m in zip(report.dim_V2h, report.dim_Lh)
     ]
     for s in report.stats:
         assert set(s) == {"factored", "lu_fill", "matvecs", "eps"}
-        assert s["lu_fill"] >= s["factored"] and s["matvecs"] > 0 and s["eps"] > 0
+        assert s["lu_fill"] >= s["factored"] and s["matvecs"] > 0 and s["eps"] == 0.0
+    # q1q1p0 has no interior columns: the eps saddle of order n2 + m
+    control = infsup_sweep("q1q1p0", DomainSpec("disk", base_cells=1), 2)
+    assert [s["factored"] for s in control.stats] == [
+        n2 + m for n2, m in zip(control.dim_V2h, control.dim_Lh)
+    ]
+    assert all(s["eps"] > 0 for s in control.stats)
+    # the same elm1 levels through the eps route factor more
+    _eps_route(monkeypatch)
+    slow = infsup_sweep("elm1", DomainSpec("disk", base_cells=1), 3)
+    for s, e in zip(report.stats, slow.stats):
+        assert s["lu_fill"] < e["lu_fill"]
     with pytest.raises(ValueError, match="valid tags"):
         infsup_sweep("p2p1", DomainSpec("disk"), 2)
     with pytest.raises(ValueError, match="levels"):
