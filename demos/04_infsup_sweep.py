@@ -17,7 +17,7 @@ Three pairings on the disk geometry:
   estimates are numerical zeros from the coarsest level onward.
 """
 
-from fddlm.infsup import infsup_sweep
+from fddlm.infsup import _SINGULAR_TOL, infsup_sweep
 from fddlm.mesh import DomainSpec
 
 for tag, base in (("elm1", 1), ("elm2", 2), ("q1q1p0", 1)):
@@ -30,6 +30,7 @@ for tag, base in (("elm1", 1), ("elm2", 2), ("q1q1p0", 1)):
             f"{rep.dim_Lh[i]:8d}   {rep.gamma_est[i]:.6e}"
         )
     g0, g1 = rep.gamma_est[0], rep.gamma_est[-1]
-    # q1q1p0's estimates are exact zeros, so the ratio is undefined there
-    ratio = f"{g1 / g0:.3f}" if g0 > 0 else "undefined"
+    # q1q1p0's estimates are numerical zeros (rounding noise at or below
+    # the singular threshold), so the ratio is undefined there
+    ratio = f"{g1 / g0:.3f}" if g0 >= _SINGULAR_TOL else "undefined"
     print(f"  finest/coarsest = {ratio}, verdict: {rep.verdict()}\n")

@@ -20,7 +20,10 @@ one sparse factor per level, by one of two routes.
   min v^T N2 v under R v = y, which is solved on the null space of R
   with the basis Z = [I; -D^-1 C2_q], as ``solve_saddle`` does (Benzi,
   Golub & Liesen 2005, section 6): one factor of the SPD matrix
-  Z^T N2 Z, no pivoting, and sigma = 1/mu.
+  K_q = Z^T N2 Z, no pivoting, and sigma = 1/mu. With L = E_b D_R^{-1}
+  the lift of y onto the interior columns, B = Z^T N2 L and
+  G = L^T N2 L are built once per level, and each Lanczos step applies
+  W^{-1} y = G y - B^T K_q^{-1} B y.
 - eps saddle (q1q1p0, general C2, or a Z with entries above
   ``_GROWTH_MAX``). The lambda block of the inverse of
   S_eps = [[N2, R^T], [R, -eps I]], which is quasi-definite and so
@@ -41,7 +44,7 @@ from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
 from .runner import element_families
 from .space import build_space
-from .system import assemble_mass, assemble_stiffness, interior_columns, null_space_basis
+from .system import _physical_grads, _scatter, interior_columns, null_space_basis
 
 __all__ = [
     "build_norm_matrices",
@@ -65,15 +68,37 @@ _GROWTH_MAX = 1e2
 
 
 def build_norm_matrices(v2_space, lambda_space):
-    """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix)."""
+    """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix).
+
+    N2 is the stiffness plus the mass matrix of v2_space (3x3 Gauss, as
+    ``assemble_stiffness`` and ``assemble_mass``), from one pass over the
+    cells: one geometry evaluation and one scatter.
+    """
     if lambda_space.family.tag != "p0":
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("spaces must share the immersed mesh")
-    areas = v2_space.mesh.cell_areas()
-    N1 = sp.diags(areas).tocsr()
-    N2 = (assemble_stiffness(v2_space) + assemble_mass(v2_space)).tocsr()
+    N1 = sp.diags(v2_space.mesh.cell_areas()).tocsr()
+    # the element matrices come from a helper so that its geometry and
+    # gradient temporaries are freed before _scatter allocates N2: built
+    # inline, N2 lands above them on the heap and the sweep's peak RSS
+    # rises by about 2 MB
+    N2 = _scatter(v2_space, _h1_element_matrices(v2_space))
     return N1, N2
+
+
+def _h1_element_matrices(space):
+    """Per cell, sum_q w det (grad phi_l . grad phi_k + phi_l phi_k); (M, nl, nl)."""
+    quad = el.gauss_square(3)
+    fam, mesh = space.family, space.mesh
+    J, det, _ = el.cell_geometry(mesh, quad)
+    wdet = quad.weights * det
+    g = _physical_grads(fam, mesh, quad, J, det)
+    # (M, q, nl, 2) -> (M, nl, 2q): the gradient terms as one batched matmul
+    g = g.transpose(0, 2, 1, 3).reshape(mesh.num_cells, fam.ndofs, -1)
+    ke = (g * np.repeat(wdet, 2, axis=1)[:, None, :]) @ g.transpose(0, 2, 1)
+    phi = el.basis_matrix(fam, quad.points)
+    return ke + (phi.T * wdet[:, None, :]) @ phi
 
 
 def infsup_constant(C2, N1, N2, h2, stats=None):
@@ -85,8 +110,9 @@ def infsup_constant(C2, N1, N2, h2, stats=None):
     ``_GROWTH_MAX``, W^{-1} is applied through one sparse factor of
     Z^T N2 Z; otherwise through one LU of the eps-regularized norm
     saddle. A ``stats`` dict receives ``factored`` (n2 - m, or n2 + m on
-    the eps route), ``lu_fill`` (nonzeros of L + U), ``matvecs``
-    (applications of the inverse) and ``eps`` (0 on the null-space route).
+    the eps route), ``lu_fill`` (entries SuperLU stores for L and U),
+    ``matvecs`` (applications of the inverse) and ``eps`` (0 on the
+    null-space route).
     Raises ``ArpackNoConvergence`` if Lanczos does not converge.
     """
     m, n2 = C2.shape
@@ -118,7 +144,7 @@ def infsup_constant(C2, N1, N2, h2, stats=None):
         mu = spla.eigsh(op, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
     sigma = float(max(1.0 / mu - eps, 0.0))
     if stats is not None:
-        fill = 0 if lu is None else lu.L.nnz + lu.U.nnz
+        fill = 0 if lu is None else lu.nnz
         stats.update(factored=factored, lu_fill=fill, matvecs=calls[0], eps=float(eps))
     return sigma, float(np.sqrt(sigma))
 
@@ -126,32 +152,35 @@ def infsup_constant(C2, N1, N2, h2, stats=None):
 def _null_space_inverse(d, Z, interior, r, N2):
     """W^{-1} through the basis Z of ker R = ker C2 and one factor of Z^T N2 Z.
 
-    R v = y has the particular solution v_p = D_R^{-1} y on the interior
-    columns b, with D_R = r d; the minimizer of v^T N2 v under R v = y is
-    v = v_p + Z v_q with Z^T N2 Z v_q = -Z^T N2 v_p, and W^{-1} y =
-    (N2 v)_b / D_R. Returns the apply and the factor (None when nq = 0).
+    R v = y has the particular solution v_p = L y, L = E_b D_R^{-1} on the
+    interior columns b with D_R = r d; the minimizer of v^T N2 v under
+    R v = y is v = v_p + Z v_q with K_q v_q = -Z^T N2 v_p, K_q = Z^T N2 Z,
+    and W^{-1} y = L^T N2 v. With B = Z^T N2 L and G = L^T N2 L, built once,
+    that is W^{-1} y = G y - B^T K_q^{-1} B y: two sparse products and one
+    solve pair per application. Returns the apply and the factor (None
+    when nq = 0, where W^{-1} = G).
     """
     (n2, nq), m = Z.shape, d.size
-    # E_b D_R^{-1}: v_p = lift @ y, and W^{-1} y = lift^T (N2 v)
     lift = sp.csr_matrix((1.0 / (r * d), (interior, np.arange(m))), shape=(n2, m))
     N2 = sp.csr_matrix(N2)
-    lu = None
-    if nq:
-        # Z^T N2 Z is SPD, so an unpivoted minimum degree factor is stable;
-        # this module's own spla, so perfbench charges it to infsup, not system
-        lu = spla.splu(
-            (Z.T @ (N2 @ Z)).tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            relax=1,
-            options={"SymmetricMode": True},
-        )
+    N2L = N2 @ lift
+    G = (lift.T @ N2L).tocsr()
+    if not nq:
+        return (lambda y: G @ y), None
+    B = (Z.T @ N2L).tocsr()
+    BT = B.T.tocsr()
+    # Z^T N2 Z is SPD, so an unpivoted minimum degree factor is stable;
+    # this module's own spla, so perfbench charges it to infsup, not system
+    lu = spla.splu(
+        (Z.T @ (N2 @ Z)).tocsc(),
+        permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.0,
+        relax=1,
+        options={"SymmetricMode": True},
+    )
 
     def apply_inv(y):
-        v = lift @ y
-        if lu is not None:
-            v = v + Z @ lu.solve(-(Z.T @ (N2 @ v)))
-        return lift.T @ (N2 @ v)
+        return G @ y - BT @ lu.solve(B @ y)
 
     return apply_inv, lu
 

@@ -209,7 +209,8 @@ class SolutionTriple:
     ``stats`` holds integer sizes of the solve: ``unknowns`` (rows of the
     full K), ``factored`` (rows of the matrix handed to the sparse LU),
     ``eliminated`` (interior dofs plus multipliers solved for exactly, 0
-    when K itself is factored) and ``lu_fill`` (nonzeros of L plus U).
+    when K itself is factored) and ``lu_fill`` (entries SuperLU stores for
+    L and U).
     """
 
     u: np.ndarray
@@ -351,7 +352,7 @@ def solve_saddle(system, bc=None, rtol=1e-10):
         "unknowns": K.shape[0],
         "factored": fact.shape[0],
         "eliminated": 0 if interior is None else 2 * system.m,
-        "lu_fill": int(fact.L.nnz + fact.U.nnz),
+        "lu_fill": int(fact.nnz),
     }
     r = b - K @ x
     knorm = float(np.max(np.abs(K).sum(axis=1))) if K.nnz else 0.0

@@ -13,9 +13,13 @@ oracle of the array-only disk and flower builder. ``interpolate`` sets
 a space's dofs from a function's values at its dof points, to build
 fields whose value the tests know. ``edge_table`` finds a mesh's edges
 by a row-wise ``np.unique``; it is the oracle of the one-key edge table.
+``null_space_apply`` applies the inverse of the inf-sup test's form W
+product by product; it is the oracle of the precomputed operator.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from fddlm.element import Q1, QuadratureRule, basis_matrix, grad_matrix
 from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
@@ -385,3 +389,33 @@ def build_radial_mesh(spec, level=0):
     for _ in range(level):
         m = refine_uniform(m)
     return m
+
+
+def null_space_apply(d, Z, interior, r, N2):
+    """W^{-1} of the inf-sup test through the null-space basis Z, product by product.
+
+    With the lift L = E_b D_R^{-1} (D_R = r d on the interior columns b)
+    and K_q = Z^T N2 Z: v_p = L y, v = v_p + Z K_q^{-1} (-Z^T N2 v_p) and
+    W^{-1} y = L^T N2 v, six sparse products around one solve pair. It is
+    the oracle of the precomputed apply G y - B^T K_q^{-1} B y.
+    """
+    (n2, nq), m = Z.shape, d.size
+    lift = sp.csr_matrix((1.0 / (r * d), (interior, np.arange(m))), shape=(n2, m))
+    N2 = sp.csr_matrix(N2)
+    lu = None
+    if nq:
+        lu = spla.splu(
+            (Z.T @ (N2 @ Z)).tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            relax=1,
+            options={"SymmetricMode": True},
+        )
+
+    def apply_inv(y):
+        v = lift @ y
+        if lu is not None:
+            v = v + Z @ lu.solve(-(Z.T @ (N2 @ v)))
+        return lift.T @ (N2 @ v)
+
+    return apply_inv

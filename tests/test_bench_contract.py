@@ -78,4 +78,6 @@ def test_infsup_factor_is_charged_to_infsup():
     # on the inf-sup sweep
     names = [s["name"] for s in traced(tiny_sweep)[0]]
     assert names.count("infsup.eig") == 2
+    # per level, assemble_C2 and build_norm_matrices are each one span
+    assert names.count("infsup.norms") == 4
     assert "system.factor" not in names

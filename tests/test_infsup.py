@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fddlm.infsup as infsup_module
+from fddlm import problems
 from fddlm.coupling import assemble_C2
 from fddlm.element import P0, Q1, Q1B, Q2
 from fddlm.infsup import (
@@ -21,10 +22,16 @@ from fddlm.infsup import (
 )
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.space import build_space
+from fddlm.system import assemble_mass, assemble_stiffness, null_space_basis
+from oracles import null_space_apply
 
 
 def small_setup(fam=Q1B, level=0, kind="disk", base=1):
-    t2 = build_mesh(DomainSpec(kind, base_cells=base), level)
+    return spec_setup(fam, DomainSpec(kind, base_cells=base), level)
+
+
+def spec_setup(fam, spec, level):
+    t2 = build_mesh(spec, level)
     v2 = build_space(t2, fam)
     lh = build_space(t2, P0)
     C2 = assemble_C2(lh, v2)
@@ -86,6 +93,20 @@ def test_norm_matrices():
     N2d = N2.toarray()
     assert np.abs(N2d - N2d.T).max() < 1e-14
     assert np.linalg.eigvalsh(N2d).min() > 0  # H1 matrix is positive definite
+
+
+@pytest.mark.parametrize("kind", ["disk", "flower"])
+@pytest.mark.parametrize("fam", [Q1, Q1B, Q2], ids=["q1", "q1b", "q2"])
+def test_norm_matrix_is_stiffness_plus_mass(fam, kind):
+    # N2 comes from one pass over the cells; the two assemblers are its oracle
+    t2 = build_mesh(DomainSpec(kind, base_cells=2), 1)
+    v2 = build_space(t2, fam)
+    _, N2 = build_norm_matrices(v2, build_space(t2, P0))
+    ref = (assemble_stiffness(v2) + assemble_mass(v2)).tocsr()
+    assert N2.format == "csr" and N2.has_canonical_format
+    assert N2.indices.dtype == np.int32 and N2.indptr.dtype == np.int32
+    assert N2.nnz == ref.nnz
+    assert abs(N2 - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_single_multiplier_closed_form():
@@ -248,8 +269,58 @@ def test_null_space_route_matches_dense_pencil(m, nq, seed, small):
     growth = max(np.abs(C).max(axis=1) / np.abs(C[np.arange(m), b]))
     if growth <= _GROWTH_MAX:
         assert stats["factored"] == nq and stats["eps"] == 0.0
+        # nq = 0 has no solve: W^{-1} = G to one rounding per entry. With
+        # a solve the two product orders round apart by up to 5e-12 here,
+        # amplified by entries of Z up to _GROWTH_MAX
+        fast, slow = _null_space_applies(C2, N1, N2, h2)
+        Y = rng.standard_normal((m, 3))
+        tol = 1e-13 if nq == 0 else 1e-10
+        assert np.linalg.norm(fast(Y) - slow(Y)) <= tol * np.linalg.norm(slow(Y))
     else:
         assert stats["factored"] == n2 + m and stats["eps"] > 0
+
+
+def _null_space_applies(C2, N1, N2, h2):
+    """The precomputed W^{-1} apply of infsup_constant and its product-by-product oracle."""
+    r = 1.0 / (h2 * np.sqrt(N1.diagonal()))
+    interior = infsup_module.interior_columns(C2)
+    d, Z = null_space_basis(C2, interior)
+    fast = infsup_module._null_space_inverse(d, Z, interior, r, N2)[0]
+    return fast, null_space_apply(d, Z, interior, r, N2)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+@pytest.mark.parametrize("fam", [Q1B, Q2], ids=["elm1", "elm2"])
+def test_null_space_operator_matches_product_apply(fam, example):
+    # G y - B^T K_q^{-1} B y against v = L y + Z K_q^{-1}(-Z^T N2 L y),
+    # L^T N2 v, on one vector and on a block, and its symmetry
+    rng = np.random.default_rng(example)
+    for level in range(4):
+        C2, N1, N2, h2 = spec_setup(fam, problems.immersed_spec(example, 1), level)
+        fast, slow = _null_space_applies(C2, N1, N2, h2)
+        m = C2.shape[0]
+        x, y, Y = rng.standard_normal(m), rng.standard_normal(m), rng.standard_normal((m, 3))
+        for v in (y, Y):
+            assert fast(v).shape == v.shape
+            assert np.linalg.norm(fast(v) - slow(v)) <= 1e-13 * np.linalg.norm(slow(v))
+        fx, fy = fast(x), fast(y)
+        assert abs(x @ fy - y @ fx) <= 1e-13 * np.linalg.norm(x) * np.linalg.norm(fy)
+
+
+def test_lu_fill_counts_l_and_u_on_the_null_space_route(monkeypatch):
+    # relax=1 pads no supernode, so SuperLU's stored entries are L's plus U's
+    factors = []
+    splu = spla.splu
+
+    def keep(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(infsup_module.spla, "splu", keep)
+    report = infsup_sweep("elm1", DomainSpec("disk", base_cells=1), 4)
+    assert len(factors) == 4
+    for s, f in zip(report.stats, factors):
+        assert s["lu_fill"] == f.L.nnz + f.U.nnz
 
 
 def _eps_route(monkeypatch):

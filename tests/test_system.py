@@ -321,6 +321,22 @@ def test_condensed_route_matches_full_factorization(example, element, case, monk
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_lu_fill_counts_l_and_u_on_the_condensed_route(element, monkeypatch):
+    # relax=1 pads no supernode, so SuperLU's stored entries are L's plus U's
+    factors = []
+    splu = spla.splu
+
+    def keep(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(system_module.spla, "splu", keep)
+    for level in (0, 1):
+        stats = solve_level(*benchmark_meshes(4, level), element, 1.0, 10.0).sol.stats
+        assert stats["lu_fill"] == factors[-1].L.nnz + factors[-1].U.nnz
+
+
 def test_residual_tolerance_enforced():
     sysm, vh, _, _ = toy_system()
     with pytest.raises(SolverError, match="residual"):
