@@ -15,15 +15,10 @@ zero when C2 is rank deficient. W is never formed: shift-invert Lanczos
 one sparse factor per level, by one of two routes.
 
 - Null space (elm1, elm2). Each row of C2 owns a column no other row
-  touches (the cell's bubble or centre dof, ``system.interior_columns``),
-  so R is diagonal on those columns. W^{-1} y is the multiplier of
-  min v^T N2 v under R v = y, which is solved on the null space of R
-  with the basis Z = [I; -D^-1 C2_q], as ``solve_saddle`` does (Benzi,
-  Golub & Liesen 2005, section 6): one factor of the SPD matrix
-  K_q = Z^T N2 Z, no pivoting, and sigma = 1/mu. With L = E_b D_R^{-1}
-  the lift of y onto the interior columns, B = Z^T N2 L and
-  G = L^T N2 L are built once per level, and each Lanczos step applies
-  W^{-1} y = G y - B^T K_q^{-1} B y.
+  touches (the cell's bubble or centre dof, ``system.interior_columns``).
+  W^{-1} y is minus the multiplier of [[N2, R^T], [R, 0]] [v; lam] =
+  [0; y], solved by ``system.NullSpace`` with one factor of the SPD
+  matrix Z^T N2 Z, no eps, and sigma = 1/mu.
 - eps saddle (q1q1p0, general C2, or a Z with entries above
   ``_GROWTH_MAX``). The lambda block of the inverse of
   S_eps = [[N2, R^T], [R, -eps I]], which is quasi-definite and so
@@ -44,7 +39,7 @@ from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
 from .runner import element_families
 from .space import build_space
-from .system import _physical_grads, _scatter, interior_columns, null_space_basis
+from .system import _UNPIVOTED_LU, NullSpace, _physical_grads, _scatter, interior_columns
 
 __all__ = [
     "build_norm_matrices",
@@ -121,12 +116,12 @@ def infsup_constant(C2, N1, N2, h2, stats=None):
     r = 1.0 / (h2 * np.sqrt(N1.diagonal()))
     interior = interior_columns(C2)
     if interior is not None:
-        d, Z = null_space_basis(C2, interior)
-    if interior is None or np.abs(Z.data).max(initial=1.0) > _GROWTH_MAX:
+        ns = NullSpace(N2, C2, interior)
+    if interior is None or np.abs(ns.Z.data).max(initial=1.0) > _GROWTH_MAX:
         apply_inv, lu, eps = _saddle_inverse(C2.multiply(r[:, None]).tocsr(), N2)
         factored = n2 + m
     else:
-        apply_inv, lu = _null_space_inverse(d, Z, interior, r, N2)
+        apply_inv, lu = _null_space_inverse(ns, r)
         eps, factored = 0.0, n2 - m
     calls = [0]
 
@@ -149,38 +144,25 @@ def infsup_constant(C2, N1, N2, h2, stats=None):
     return sigma, float(np.sqrt(sigma))
 
 
-def _null_space_inverse(d, Z, interior, r, N2):
-    """W^{-1} through the basis Z of ker R = ker C2 and one factor of Z^T N2 Z.
+def _null_space_inverse(ns, r):
+    """W^{-1} from the ``NullSpace`` of (N2, C2) and one factor of its K.
 
-    R v = y has the particular solution v_p = L y, L = E_b D_R^{-1} on the
-    interior columns b with D_R = r d; the minimizer of v^T N2 v under
-    R v = y is v = v_p + Z v_q with K_q v_q = -Z^T N2 v_p, K_q = Z^T N2 Z,
-    and W^{-1} y = L^T N2 v. With B = Z^T N2 L and G = L^T N2 L, built once,
-    that is W^{-1} y = G y - B^T K_q^{-1} B y: two sparse products and one
-    solve pair per application. Returns the apply and the factor (None
-    when nq = 0, where W^{-1} = G).
+    With R = diag(r) C2 and s = y / r, W^{-1} y = (G s - M^T K^{-1} M s) / r;
+    the row scalings are folded into M and G once, so each application is
+    two sparse products and one solve pair. Returns the apply and the
+    factor (None when nq = 0, where W^{-1} is the scaled G alone).
     """
-    (n2, nq), m = Z.shape, d.size
-    lift = sp.csr_matrix((1.0 / (r * d), (interior, np.arange(m))), shape=(n2, m))
-    N2 = sp.csr_matrix(N2)
-    N2L = N2 @ lift
-    G = (lift.T @ N2L).tocsr()
-    if not nq:
+    Dr = sp.diags(1.0 / r)
+    G = (Dr @ ns.G @ Dr).tocsr()
+    if not ns.K.shape[0]:
         return (lambda y: G @ y), None
-    B = (Z.T @ N2L).tocsr()
-    BT = B.T.tocsr()
-    # Z^T N2 Z is SPD, so an unpivoted minimum degree factor is stable;
-    # this module's own spla, so perfbench charges it to infsup, not system
-    lu = spla.splu(
-        (Z.T @ (N2 @ Z)).tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        relax=1,
-        options={"SymmetricMode": True},
-    )
+    M = (ns.M @ Dr).tocsr()
+    MT = M.T.tocsr()
+    # this module's own spla, so perfbench charges the factor to infsup
+    lu = spla.splu(ns.K, **_UNPIVOTED_LU)
 
     def apply_inv(y):
-        return G @ y - BT @ lu.solve(B @ y)
+        return G @ y - MT @ lu.solve(M @ y)
 
     return apply_inv, lu
 
@@ -220,7 +202,14 @@ class InfSupReport:
         """'stable' if gamma(finest)/gamma(coarsest) >= _STABLE_RATIO,
         'degenerating' if the pairing is numerically singular at the
         finest level or the sequence decreases monotonically below that
-        ratio."""
+        ratio.
+
+        The monotone rule cannot tell degeneration from a fall out of a
+        pre-asymptotic start: with the per-geometry default bases and
+        five levels, ``fddlm infsup`` calls the stable elm1 "degenerating"
+        on example 2 (gamma = 0.274, 0.157, 0.134, 0.132, 0.132, levelled
+        off) and on example 4 (0.0708, 0.0636, 0.048, 0.0393, 0.0331).
+        The criterion-3 protocol is not affected."""
         g = self.gamma_est
         if len(g) < 2:
             return "inconclusive"

@@ -12,14 +12,11 @@ stiffness weighted by (beta2 - beta), and G is zero except for boundary
 lifting contributions. The matrix is symmetric indefinite.
 
 With elm1 and elm2 each immersed cell owns one dof (its bubble or centre
-dof) that only its own multiplier sees, so the multiplier-by-interior
-block of C2 is diagonal. The constraint rows then give those interior
-dofs and their own rows give lam, both exactly, and only the symmetric
-null-space system in (u, the other u2 dofs) is factored (Benzi, Golub &
-Liesen 2005, section 6). Systems without such columns (q1q1p0) are
-solved by a pivoted sparse LU of the full matrix. Both routes take one
-step of iterative refinement and report the backward error of the full
-matrix.
+dof) that only its own multiplier sees; ``NullSpace`` then solves the
+system on the null space of its constraint rows. Systems without such
+columns (q1q1p0) are solved by a pivoted sparse LU of the full matrix.
+Both routes take one step of iterative refinement and report the
+backward error of the full matrix.
 """
 
 from dataclasses import dataclass, field
@@ -45,7 +42,7 @@ __all__ = [
     "full_matrix",
     "apply_dirichlet",
     "interior_columns",
-    "null_space_basis",
+    "NullSpace",
     "solve_saddle",
     "error_norms",
     "project_p0",
@@ -238,88 +235,77 @@ def interior_columns(C2):
     return None if np.any(own < 0) else own
 
 
-def null_space_basis(C2, interior):
-    """Null-space map of the constraint C2 v = 0 from its ``interior`` columns.
+# SuperLU options of the null-space factor: a minimum degree ordering of
+# A + A^T and no pivoting. That is stable on the SPD Z^T N2 Z of the
+# inf-sup test, but the saddle's K is indefinite in case 3, where
+# A2 = (beta2 - beta) * stiffness < 0; there ``solve_saddle``'s refinement
+# step and backward-error gate make it safe. relax=1: SuperLU's default
+# relaxed supernodes pad L and U with stored zeros here (up to 2.2x the
+# fill), which cost factor time and memory
+_UNPIVOTED_LU = dict(
+    permc_spec="MMD_AT_PLUS_A",
+    diag_pivot_thresh=0.0,
+    relax=1,
+    options={"SymmetricMode": True},
+)
 
-    With b = ``interior`` and q the other columns, C2 = [C2_q, D] with D
-    diagonal, so every v with C2 v = 0 is v = Z v_q for the n2 x nq basis
-    Z = [I on q; -D^-1 C2_q on b]. Returns d = diag(D) and Z (CSR).
+
+class NullSpace:
+    """Null-space method for [[H, B^T], [B, 0]] (Benzi, Golub & Liesen 2005, section 6).
+
+    Row i of B owns the private column ``interior[i]``, which no other
+    row touches. With b those columns, q the rest and d the entries of B
+    on b (D = diag(d)), Z = [I on q; -D^-1 B_q on b] spans ker B and
+    P = E_b D^-1 is a right inverse of B. Built once: Z, P (CSR),
+    K = Z^T H Z (CSC, for the caller to factor), M = Z^T H P and
+    G = P^T H P (CSR). K is nonsingular exactly when H is nonsingular
+    on ker B.
     """
-    n2 = C2.shape[1]
-    C2 = sp.csc_matrix(C2)
-    q = np.setdiff1d(np.arange(n2), interior)
-    d = np.asarray(C2[:, interior].sum(axis=0)).ravel()
-    nq = q.size
-    B = (sp.diags(1.0 / d) @ -C2[:, q]).tocoo()
-    Z = sp.csr_matrix(
-        (
-            np.concatenate([np.ones(nq), B.data]),
-            (np.concatenate([q, interior[B.row]]), np.concatenate([np.arange(nq), B.col])),
-        ),
-        shape=(n2, nq),
-    )
-    return d, Z
 
+    def __init__(self, H, B, interior):
+        m, N = B.shape
+        B = sp.csc_matrix(B)
+        q = np.setdiff1d(np.arange(N), interior)
+        d = np.asarray(B[:, interior].sum(axis=0)).ravel()
+        E = (sp.diags(1.0 / d) @ -B[:, q]).tocoo()
+        nq = q.size
+        self.Z = sp.csr_matrix(
+            (
+                np.concatenate([np.ones(nq), E.data]),
+                (np.concatenate([q, interior[E.row]]), np.concatenate([np.arange(nq), E.col])),
+            ),
+            shape=(N, nq),
+        )
+        self.P = sp.csr_matrix((1.0 / d, (interior, np.arange(m))), shape=(N, m))
+        H = sp.csr_matrix(H)
+        HP = H @ self.P
+        self.K = (self.Z.T @ (H @ self.Z)).tocsc()
+        self.M = (self.Z.T @ HP).tocsr()
+        self.G = (self.P.T @ HP).tocsr()
 
-def _condensed_solver(system, interior):
-    """Factor the saddle system on the null space of its constraint rows.
+    def solve(self, fact, f, g):
+        """(x, lam) with H x + B^T lam = f and B x = g, given ``fact`` of K.
 
-    With b = ``interior`` (one column of C2 per row) write u2 = (u2_q, u2_b)
-    and C2 = [C2_q, D], D diagonal. For a right hand side (f1, f2, g) the
-    constraint rows give u2_b = D^-1 (C1 u - C2_q u2_q - g) and the rows
-    of u2_b give lam = D^-1 (A2_b. u2 - f2_b). Writing u2 = S y + s0 with
-    y = (u, u2_q), the remaining rows plus P^T times the rows of u2_b,
-    P = D^-1 [C1, -C2_q], cancel lam and leave the symmetric system
-    (blkdiag(A1, 0) + S^T A2 S) y = (f1, 0) + S^T (f2 - A2 s0).
-    Returns the factor and a solve of the full system through it.
-    """
-    n, n2 = system.n, system.n2
-    d, Z = null_space_basis(system.C2, interior)
-    nq = Z.shape[1]
-    # S = [E, Z] with E = D^-1 C1 on the rows of u2_b
-    E = (sp.diags(1.0 / d) @ system.C1).tocoo()
-    S = sp.hstack(
-        [sp.csr_matrix((E.data, (interior[E.row], E.col)), shape=(n2, n)), Z], format="csr"
-    )
-    A2 = system.A2.tocsr()
-    Kc = sp.block_diag((system.A1, sp.csr_matrix((nq, nq)))) + S.T @ (A2 @ S)
-    # relax=1: SuperLU's default relaxed supernodes pad L and U with stored
-    # zeros here (up to 2.2x the fill), which cost factor time and memory
-    fact = spla.splu(
-        Kc.tocsc(),
-        permc_spec="MMD_AT_PLUS_A",
-        diag_pivot_thresh=0.0,
-        relax=1,
-        options={"SymmetricMode": True},
-    )
-    A2_b = A2[interior]
-
-    def solve(rhs):
-        f1, f2, g = rhs[:n], rhs[n : n + n2], rhs[n + n2 :]
-        s0 = np.zeros(n2)
-        s0[interior] = -g / d
-        y = fact.solve(np.concatenate([f1, np.zeros(nq)]) + S.T @ (f2 - A2 @ s0))
-        u2 = S @ y + s0
-        lam = (A2_b @ u2 - f2[interior]) / d
-        return np.concatenate([y[:n], u2, lam])
-
-    return fact, solve
+        x = Z v + P g with K v = Z^T f - M g, and lam = P^T f - M^T v - G g.
+        """
+        v = fact.solve(self.Z.T @ f - self.M @ g)
+        x = self.Z @ v + self.P @ g
+        return x, self.P.T @ f - self.M.T @ v - self.G @ g
 
 
 def solve_saddle(system, bc=None, rtol=1e-10):
     """Direct solve of the saddle system.
 
     When every row of C2 owns a column that no other row touches (elm1 and
-    elm2: the cell's bubble or centre dof, see ``interior_columns``), those
-    dofs and the multiplier are eliminated exactly and only the symmetric
-    system in (u, u2 without them) is factored, by a sparse LU with a
-    minimum degree ordering of A + A^T and no pivoting. Otherwise (q1q1p0
-    on any non-trivial mesh) the full K is factored by a pivoted sparse
-    LU. Either way one step of iterative refinement on the full K
-    follows. The reported residual is the normwise backward error of the
-    full K, ||K x - b|| / (||K||_inf ||x|| + ||b||); exceeding ``rtol``
-    raises SolverError, as does a failed factorization or a non-finite
-    result. The constraint residual ||C1 u - C2 u2 - G||_inf is also
+    elm2: the cell's bubble or centre dof, see ``interior_columns``), only
+    Z^T blkdiag(A1, A2) Z of ``NullSpace``, in u and the other u2 dofs, is
+    factored, without pivoting. Otherwise (q1q1p0 on any non-trivial
+    mesh) the full K is factored by a pivoted sparse LU. Either way one
+    step of iterative refinement on the full K follows. The reported
+    residual is the normwise backward error of the full K,
+    ||K x - b|| / (||K||_inf ||x|| + ||b||); exceeding ``rtol`` raises
+    SolverError, as does a failed factorization or a non-finite result.
+    The constraint residual ||C1 u - C2 u2 - G||_inf is also
     checked (1e-9 absolute). When A2 = (beta2 - beta) * stiffness has no
     nonzero value and n2 > m, K is singular and SolverError is raised
     before factoring.
@@ -334,12 +320,19 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     K = full_matrix(system).tocsc()
     b = np.concatenate([system.F1, system.F2, system.G])
     interior = interior_columns(system.C2)
+    N = system.n + system.n2
     try:
         if interior is None:
             fact = spla.splu(K)
             solve = fact.solve
         else:
-            fact, solve = _condensed_solver(system, interior)
+            # H = blkdiag(A1, A2) and B = [C1, -C2]
+            ns = NullSpace(K[:N, :N], K[N:, :N], interior + system.n)
+            fact = spla.splu(ns.K, **_UNPIVOTED_LU)
+
+            def solve(rhs):
+                return np.concatenate(ns.solve(fact, rhs[:N], rhs[N:]))
+
         x = solve(b)
         r = b - K @ x
         x = x + solve(r)

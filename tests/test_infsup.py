@@ -22,7 +22,7 @@ from fddlm.infsup import (
 )
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.space import build_space
-from fddlm.system import assemble_mass, assemble_stiffness, null_space_basis
+from fddlm.system import NullSpace, assemble_mass, assemble_stiffness
 from oracles import null_space_apply
 
 
@@ -284,9 +284,10 @@ def _null_space_applies(C2, N1, N2, h2):
     """The precomputed W^{-1} apply of infsup_constant and its product-by-product oracle."""
     r = 1.0 / (h2 * np.sqrt(N1.diagonal()))
     interior = infsup_module.interior_columns(C2)
-    d, Z = null_space_basis(C2, interior)
-    fast = infsup_module._null_space_inverse(d, Z, interior, r, N2)[0]
-    return fast, null_space_apply(d, Z, interior, r, N2)
+    ns = NullSpace(N2, C2, interior)
+    fast = infsup_module._null_space_inverse(ns, r)[0]
+    d = np.asarray(C2[np.arange(C2.shape[0]), interior]).ravel()
+    return fast, null_space_apply(d, ns.Z, interior, r, N2)
 
 
 @pytest.mark.parametrize("example", [1, 2, 3, 4])

@@ -1,8 +1,13 @@
 """Assembly oracles, Dirichlet elimination and the saddle solver."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 import fddlm.system as system_module
@@ -14,6 +19,7 @@ from fddlm.runner import ELEMENTS, solve_level
 from fddlm.space import build_space, dirichlet_bc
 from fddlm.system import (
     BlockSystem,
+    NullSpace,
     SolutionTriple,
     SolverError,
     apply_dirichlet,
@@ -335,6 +341,46 @@ def test_lu_fill_counts_l_and_u_on_the_condensed_route(element, monkeypatch):
     for level in (0, 1):
         stats = solve_level(*benchmark_meshes(4, level), element, 1.0, 10.0).sol.stats
         assert stats["lu_fill"] == factors[-1].L.nnz + factors[-1].U.nnz
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    nq=st.integers(0, 8),
+    seed=st.integers(0, 2**32 - 1),
+    definite=st.booleans(),
+)
+def test_null_space_solve_matches_dense_saddle(m, nq, seed, definite):
+    # row i of B owns column own[i], placed anywhere; the other columns
+    # are shared by up to three rows. H is SPD, or has eigenvalues of both
+    # signs, which in general leaves K = Z^T H Z indefinite as in case 3
+    # (A1 > 0, A2 < 0)
+    rng = np.random.default_rng(seed)
+    N = m + nq
+    own = rng.permutation(N)[:m]
+    B = np.zeros((m, N))
+    for j in np.setdiff1d(np.arange(N), own):
+        rows = rng.choice(m, size=rng.integers(1, min(m, 3) + 1), replace=False)
+        B[rows, j] = rng.standard_normal(rows.size)
+    B[np.arange(m), own] = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
+    Q = np.linalg.qr(rng.standard_normal((N, N)))[0]
+    ev = rng.uniform(0.5, 2.0, N)
+    if not definite:
+        ev[: N // 2] *= -1.0
+    H = (Q * ev) @ Q.T
+    H = (H + H.T) / 2
+    saddle = np.block([[H, B.T], [B, np.zeros((m, m))]])
+    # an indefinite H can leave K nearly singular, with no digits to compare
+    assume(np.linalg.cond(saddle) < 1e6)
+    ns = NullSpace(sp.csr_matrix(H), sp.csr_matrix(B), own)
+    K = ns.K.toarray()
+    f, g = rng.standard_normal(N), rng.standard_normal(m)
+    x, lam = ns.solve(SimpleNamespace(solve=lambda r: np.linalg.solve(K, r)), f, g)
+    ref = np.linalg.solve(saddle, np.concatenate([f, g]))
+    assert np.linalg.norm(x - ref[:N]) <= 1e-10 * np.linalg.norm(ref[:N])
+    assert np.linalg.norm(lam - ref[N:]) <= 1e-10 * np.linalg.norm(ref[N:])
+    scale = np.linalg.norm(B, 2) * np.linalg.norm(x) + np.linalg.norm(g)
+    assert np.linalg.norm(B @ x - g) <= 1e-13 * scale
 
 
 def test_residual_tolerance_enforced():
