@@ -177,7 +177,7 @@ def assemble_C1(table, lambda_space, vh_space):
 
     Returns an (m, n) CSR matrix, m = dim(Lambda_h), n = dim(V_h).
     """
-    if lambda_space.family.tag != "p0":
+    if lambda_space.family != el.P0:
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not table.t2 or vh_space.mesh is not table.t:
         raise ValueError("coupling table does not match the given spaces")
@@ -201,7 +201,7 @@ def assemble_C2(lambda_space, v2_space):
     Entry (i, j) = integral over cell i of immersed basis function j.
     Returns an (m, n2) CSR matrix.
     """
-    if lambda_space.family.tag != "p0":
+    if lambda_space.family != el.P0:
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("lambda and immersed spaces must share a mesh")

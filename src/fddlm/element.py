@@ -1,15 +1,14 @@
 """Reference elements on the unit square, quadrature rules, cell maps.
 
-Families
---------
-q1   : bilinear, 4 corner nodes
-q2   : biquadratic, 9 nodes on the tensor lattice {0, 0.5, 1}^2
-q1b  : q1 enriched with the interior bubble 16 x (1-x) y (1-y)
-p0   : piecewise constant, one dof per cell
-
-Corner ordering is counterclockwise: (0,0), (1,0), (1,1), (0,1). The q2
-edge dofs follow the corresponding edges (bottom, right, top, left) and
-the cell dof comes last.
+Every family is a tensor product: basis function i is f_a(x) f_b(y), its
+two 1-D factors taken from the table ``_1D`` (the constant, 1 - t, t and
+the quadratic Lagrange functions on {0, 1/2, 1}). q1 uses (1 - t, t) in
+both directions, q2 the quadratics, q1b adds to q1 the bubble
+(4x(1-x)) (4y(1-y)), and p0 is the constant. The factors' nodes give each
+function a reference node, and its count of 1/2 coordinates the entity
+that carries the dof: 0 a vertex, 1 an edge, 2 the cell. Vertices come
+first, counterclockwise from (0,0); then edges, bottom, right, top, left
+(local edge k joins vertices k and k+1); then the cell.
 """
 
 from dataclasses import dataclass
@@ -31,41 +30,55 @@ __all__ = [
     "invert_bilinear",
 ]
 
+# (node, value, derivative) of each 1-D factor; constant values and
+# derivatives are Python floats, which broadcast in the products below
+_1D = (
+    (0.5, lambda t: 1.0, lambda t: 0.0),
+    (0.0, lambda t: 1.0 - t, lambda t: -1.0),
+    (1.0, lambda t: t, lambda t: 1.0),
+    (0.0, lambda t: 2.0 * t * t - 3.0 * t + 1.0, lambda t: 4.0 * t - 3.0),
+    (0.5, lambda t: 4.0 * t * (1.0 - t), lambda t: 4.0 - 8.0 * t),
+    (1.0, lambda t: t * (2.0 * t - 1.0), lambda t: 4.0 * t - 1.0),
+)
+
+# reference nodes of the vertices, the edges and the cell: local entity
+# k of dimension d sits at _NODES[4 * d + k]
+_NODES = ((0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0), (1, 0.5), (0.5, 1), (0, 0.5), (0.5, 0.5))
+
 
 @dataclass(frozen=True)
 class ElementFamily:
-    """Tag and dof count of a reference element family."""
+    """A tensor-product family: basis function i is
+    ``_1D[fx[i]](x) * _1D[fy[i]](y)`` on the unit square."""
 
     tag: str
-    ndofs: int
+    fx: tuple
+    fy: tuple
 
     def __repr__(self):
         return f"ElementFamily({self.tag!r})"
 
+    @property
+    def ndofs(self):
+        return len(self.fx)
 
-Q1 = ElementFamily("q1", 4)
-Q2 = ElementFamily("q2", 9)
-Q1B = ElementFamily("q1b", 5)
-P0 = ElementFamily("p0", 1)
-
-# q2 tensor indices (ix, iy) into the 1d lattice {0, 0.5, 1}, dof order:
-# 4 corners, 4 edge midpoints (bottom, right, top, left), center.
-_Q2_IDX = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)]
-
-
-def _lag3(t):
-    """Quadratic Lagrange values on nodes {0, 0.5, 1}; shape (..., 3)."""
-    t = np.asarray(t, dtype=float)
-    return np.stack(
-        [2.0 * t * t - 3.0 * t + 1.0, 4.0 * t * (1.0 - t), t * (2.0 * t - 1.0)],
-        axis=-1,
-    )
+    @property
+    def entities(self):
+        """(dim, local index) of each function's dof entity: dim 0 is a
+        vertex, 1 an edge and 2 the cell, found from its reference node."""
+        nodes = [(_1D[a][0], _1D[b][0]) for a, b in zip(self.fx, self.fy)]
+        return [(n.count(0.5), _NODES.index(n) - 4 * n.count(0.5)) for n in nodes]
 
 
-def _lag3_d(t):
-    """Derivatives of _lag3."""
-    t = np.asarray(t, dtype=float)
-    return np.stack([4.0 * t - 3.0, 4.0 - 8.0 * t, 4.0 * t - 1.0], axis=-1)
+Q1 = ElementFamily("q1", (1, 2, 2, 1), (1, 1, 2, 2))
+Q2 = ElementFamily("q2", (3, 5, 5, 3, 4, 5, 4, 3, 4), (3, 3, 5, 5, 3, 4, 5, 4, 4))
+Q1B = ElementFamily("q1b", (1, 2, 2, 1, 4), (1, 1, 2, 2, 4))
+P0 = ElementFamily("p0", (0,), (0,))
+
+
+def _factors(idx, t, k):
+    """Entry k (1 the value, 2 the derivative) of each 1-D factor in idx at t."""
+    return {a: _1D[a][k](t) for a in set(idx)}
 
 
 def basis_matrix(fam, pts):
@@ -81,60 +94,26 @@ def basis_matrix(fam, pts):
     (k, ndofs) ndarray
     """
     p = np.atleast_2d(np.asarray(pts, dtype=float))
-    x = p[:, 0]
-    y = p[:, 1]
-    if fam.tag == "p0":
-        return np.ones((p.shape[0], 1))
-    if fam.tag in ("q1", "q1b"):
-        vals = np.stack(
-            [(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y], axis=1
-        )
-        if fam.tag == "q1b":
-            bub = 16.0 * x * (1 - x) * y * (1 - y)
-            vals = np.hstack([vals, bub[:, None]])
-        return vals
-    if fam.tag == "q2":
-        lx = _lag3(x)
-        ly = _lag3(y)
-        vals = np.empty((p.shape[0], 9))
-        for k, (ix, iy) in enumerate(_Q2_IDX):
-            vals[:, k] = lx[:, ix] * ly[:, iy]
-        return vals
-    raise ValueError(f"unhandled family {fam.tag}")
+    vx = _factors(fam.fx, p[:, 0], 1)
+    vy = _factors(fam.fy, p[:, 1], 1)
+    out = np.empty((p.shape[0], fam.ndofs))
+    for j, (a, b) in enumerate(zip(fam.fx, fam.fy)):
+        out[:, j] = vx[a] * vy[b]
+    return out
 
 
 def grad_matrix(fam, pts):
     """Reference gradients of all basis functions at points; (k, ndofs, 2)."""
     p = np.atleast_2d(np.asarray(pts, dtype=float))
-    x = p[:, 0]
-    y = p[:, 1]
-    if fam.tag == "p0":
-        return np.zeros((p.shape[0], 1, 2))
-    if fam.tag in ("q1", "q1b"):
-        g = np.empty((p.shape[0], fam.ndofs, 2))
-        g[:, 0, 0] = -(1 - y)
-        g[:, 0, 1] = -(1 - x)
-        g[:, 1, 0] = 1 - y
-        g[:, 1, 1] = -x
-        g[:, 2, 0] = y
-        g[:, 2, 1] = x
-        g[:, 3, 0] = -y
-        g[:, 3, 1] = 1 - x
-        if fam.tag == "q1b":
-            g[:, 4, 0] = 16.0 * (1 - 2 * x) * y * (1 - y)
-            g[:, 4, 1] = 16.0 * x * (1 - x) * (1 - 2 * y)
-        return g
-    if fam.tag == "q2":
-        lx = _lag3(x)
-        ly = _lag3(y)
-        dx = _lag3_d(x)
-        dy = _lag3_d(y)
-        g = np.empty((p.shape[0], 9, 2))
-        for k, (ix, iy) in enumerate(_Q2_IDX):
-            g[:, k, 0] = dx[:, ix] * ly[:, iy]
-            g[:, k, 1] = lx[:, ix] * dy[:, iy]
-        return g
-    raise ValueError(f"unhandled family {fam.tag}")
+    vx = _factors(fam.fx, p[:, 0], 1)
+    vy = _factors(fam.fy, p[:, 1], 1)
+    dx = _factors(fam.fx, p[:, 0], 2)
+    dy = _factors(fam.fy, p[:, 1], 2)
+    out = np.empty((p.shape[0], fam.ndofs, 2))
+    for j, (a, b) in enumerate(zip(fam.fx, fam.fy)):
+        out[:, j, 0] = dx[a] * vy[b]
+        out[:, j, 1] = vx[a] * dy[b]
+    return out
 
 
 @dataclass(frozen=True)

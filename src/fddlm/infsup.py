@@ -69,7 +69,7 @@ def build_norm_matrices(v2_space, lambda_space):
     ``assemble_stiffness`` and ``assemble_mass``), from one pass over the
     cells: one geometry evaluation and one scatter.
     """
-    if lambda_space.family.tag != "p0":
+    if lambda_space.family != el.P0:
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("spaces must share the immersed mesh")

@@ -1,8 +1,10 @@
 """Finite element spaces on quad meshes: dof maps, boundary dofs, evaluation.
 
-Global dof ordering: nodal dofs first (mesh node order), then edge dofs
-(lexicographic sorted-node-pair order), then cell dofs (cell order). For
-q1/q1b/q2 the dof index of a mesh node equals the node index.
+Each basis function of a family carries its dof on a mesh entity (see
+``fddlm.element``). Global dof ordering: vertex dofs first (mesh node
+order), then edge dofs (lexicographic sorted-node-pair order), then cell
+dofs (cell order). For q1/q1b/q2 the dof index of a mesh node equals the
+node index.
 """
 
 import numpy as np
@@ -32,8 +34,8 @@ class FeSpace:
     ndofs : int
     dof_coords : (ndofs, 2) float array
         Interpolation points: node coordinates for vertex dofs, edge
-        midpoints for edge dofs, the bilinear image of (0.5, 0.5) for q2
-        cell dofs, cell centers for bubbles, area centroids for p0.
+        midpoints for edge dofs and vertex means, the bilinear image of
+        (0.5, 0.5), for cell dofs.
     """
 
     def __init__(self, mesh, fam, dof_map, ndofs, dof_coords):
@@ -47,43 +49,42 @@ class FeSpace:
         return f"FeSpace({self.family.tag}, ndofs={self.ndofs}, cells={self.mesh.num_cells})"
 
 
+def _entities(mesh, dim):
+    """Per-cell ids (M, 4 or 1) and coordinates of a mesh's vertices
+    (dim 0), edges (dim 1) or cells (dim 2)."""
+    x = mesh.nodes
+    if dim == 0:
+        return mesh.cells, x
+    if dim == 1:
+        return mesh.cell_to_edge, 0.5 * (x[mesh.edges[:, 0]] + x[mesh.edges[:, 1]])
+    return np.arange(mesh.num_cells)[:, None], x[mesh.cells].mean(axis=1)
+
+
 def build_space(mesh, fam):
-    """Build the dof layout of a family on a mesh."""
-    nn = mesh.num_nodes
-    mc = mesh.num_cells
-    cell_centers = mesh.nodes[mesh.cells].mean(axis=1)
-    if fam.tag == "q1":
-        return FeSpace(mesh, fam, mesh.cells.copy(), nn, mesh.nodes.copy())
-    if fam.tag == "q1b":
-        dof_map = np.hstack([mesh.cells, (nn + np.arange(mc))[:, None]])
-        coords = np.vstack([mesh.nodes, cell_centers])
-        return FeSpace(mesh, fam, dof_map, nn + mc, coords)
-    if fam.tag == "q2":
-        ne = mesh.num_edges
-        dof_map = np.hstack(
-            [mesh.cells, nn + mesh.cell_to_edge, (nn + ne + np.arange(mc))[:, None]]
-        )
-        mids = 0.5 * (mesh.nodes[mesh.edges[:, 0]] + mesh.nodes[mesh.edges[:, 1]])
-        coords = np.vstack([mesh.nodes, mids, cell_centers])
-        return FeSpace(mesh, fam, dof_map, nn + ne + mc, coords)
-    if fam.tag == "p0":
-        # shoelace area centroids
-        p = mesh.nodes[mesh.cells]
-        pn = np.roll(p, -1, axis=1)
-        cross = p[:, :, 0] * pn[:, :, 1] - pn[:, :, 0] * p[:, :, 1]
-        cents = np.einsum("mka,mk->ma", p + pn, cross) / (3.0 * cross.sum(axis=1))[:, None]
-        return FeSpace(mesh, fam, np.arange(mc, dtype=np.int64)[:, None], mc, cents)
-    raise ValueError(f"unhandled family {fam.tag}")
+    """Build the dof layout of a family on a mesh: one dof per entity
+    that carries a basis function, numbered by entity dimension."""
+    ents = fam.entities
+    ndofs, cols, coords = 0, {}, []
+    for dim in sorted({d for d, _ in ents}):
+        ids, x = _entities(mesh, dim)
+        cols[dim] = ndofs + ids
+        coords.append(x)
+        ndofs += len(x)
+    dof_map = np.column_stack([cols[d][:, k] for d, k in ents])
+    return FeSpace(mesh, fam, dof_map, ndofs, np.vstack(coords))
 
 
 def dirichlet_dofs(space):
-    """Dofs induced by the mesh boundary: boundary-node dofs plus, for q2,
-    the dofs of boundary edges. Bubble and cell dofs are interior."""
+    """Sorted dofs of the boundary vertices and boundary edges. Cell dofs
+    are interior, so a p0 space has none."""
     m = space.mesh
-    dofs = [m.boundary_nodes]
-    if space.family.tag == "q2":
-        dofs.append(m.num_nodes + np.nonzero(m.boundary_edge_mask)[0])
-    return np.sort(np.concatenate(dofs)).astype(np.int64)
+    on = (
+        np.isin(m.cells, m.boundary_nodes),
+        m.boundary_edge_mask[m.cell_to_edge],
+        np.zeros((m.num_cells, 1), dtype=bool),
+    )
+    mask = np.column_stack([on[d][:, k] for d, k in space.family.entities])
+    return np.unique(space.dof_map[mask])
 
 
 class DirichletBC:

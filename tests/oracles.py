@@ -29,15 +29,18 @@ from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
 def interpolate(space, g):
     """Nodal interpolation of a function into the space.
 
-    g is called with coordinate arrays (x, y). Bubble dofs are set to
-    zero; p0 dofs take the cell-centroid value.
+    g is called with coordinate arrays (x, y). A cell dof takes the value
+    at its cell's vertex mean, except a bubble's: where the family's other
+    functions do not vanish at the cell node (q1b), it is set to zero.
     """
     x = space.dof_coords[:, 0]
     y = space.dof_coords[:, 1]
     vals = np.asarray(g(x, y), dtype=float)
     vals = np.broadcast_to(vals, x.shape).copy()
-    if space.family.tag == "q1b":
-        vals[space.mesh.num_nodes:] = 0.0
+    fam = space.family
+    if np.count_nonzero(basis_matrix(fam, [0.5, 0.5])) > 1:
+        cell = [j for j, (dim, _) in enumerate(fam.entities) if dim == 2]
+        vals[space.dof_map[:, cell]] = 0.0
     return vals
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from fddlm.element import (
+    _1D,
     P0,
     Q1,
     Q1B,
@@ -35,6 +36,86 @@ def test_family_dof_counts():
 def test_nodal_basis_is_kronecker():
     assert basis_matrix(Q1, Q1_NODES) == pytest.approx(np.eye(4), abs=1e-15)
     assert basis_matrix(Q2, Q2_NODES) == pytest.approx(np.eye(9), abs=1e-14)
+
+
+_ENTITY_NODES = {
+    0: [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)],
+    1: [(0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.5)],
+    2: [(0.5, 0.5)],
+}
+
+
+@pytest.mark.parametrize(
+    "fam, counts",
+    [(Q1, (4, 0, 0)), (Q1B, (4, 0, 1)), (Q2, (4, 4, 1)), (P0, (0, 0, 1))],
+    ids=["q1", "q1b", "q2", "p0"],
+)
+def test_family_table_entities(fam, counts):
+    # each function's reference node, read off its two 1-D factors, is
+    # the node of its dof entity; the functions come vertices (ccw), then
+    # edges (bottom, right, top, left), then the cell
+    nodes = [(_1D[a][0], _1D[b][0]) for a, b in zip(fam.fx, fam.fy)]
+    ents = fam.entities
+    assert fam.ndofs == len(nodes) == sum(counts)
+    assert tuple(sum(d == dim for d, _ in ents) for dim in range(3)) == counts
+    assert [d for d, _ in ents] == sorted(d for d, _ in ents)
+    for (dim, k), node in zip(ents, nodes):
+        assert node == _ENTITY_NODES[dim][k]
+    for dim in range(3):
+        locals_ = [k for d, k in ents if d == dim]
+        assert locals_ == list(range(len(locals_)))
+    if fam in (Q1, Q2):
+        assert np.array_equal(basis_matrix(fam, nodes), np.eye(fam.ndofs))
+
+
+def _closed_form(fam, pts):
+    """The basis and its gradient written out per family."""
+    x, y = pts[:, 0], pts[:, 1]
+    k = len(pts)
+    if fam == P0:
+        return np.ones((k, 1)), np.zeros((k, 1, 2))
+    if fam == Q2:
+        lx = [2.0 * x * x - 3.0 * x + 1.0, 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)]
+        ly = [2.0 * y * y - 3.0 * y + 1.0, 4.0 * y * (1.0 - y), y * (2.0 * y - 1.0)]
+        dx = [4.0 * x - 3.0, 4.0 - 8.0 * x, 4.0 * x - 1.0]
+        dy = [4.0 * y - 3.0, 4.0 - 8.0 * y, 4.0 * y - 1.0]
+        idx = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1), (1, 1)]
+        vals = np.column_stack([lx[i] * ly[j] for i, j in idx])
+        grads = np.stack(
+            [np.column_stack([dx[i] * ly[j], lx[i] * dy[j]]) for i, j in idx], axis=1
+        )
+        return vals, grads
+    vals = [(1 - x) * (1 - y), x * (1 - y), x * y, (1 - x) * y]
+    grads = [
+        [-(1 - y), -(1 - x)], [1 - y, -x], [y, x], [-y, 1 - x],
+    ]
+    if fam == Q1B:
+        vals.append(16.0 * x * (1 - x) * y * (1 - y))
+        grads.append([16.0 * (1 - 2 * x) * y * (1 - y), 16.0 * x * (1 - x) * (1 - 2 * y)])
+    return np.column_stack(vals), np.stack([np.column_stack(g) for g in grads], axis=1)
+
+
+def test_basis_matches_closed_form_bitwise():
+    # the Newton of the point location and the transfer's picks depend on
+    # q1 staying bitwise; q2 and p0 are held to the same, the q1b bubble
+    # (a product of two 1-D factors) to 4 ulp
+    rng = np.random.default_rng(7)
+    pts = np.vstack(
+        [rng.uniform(0, 1, (300, 2)), rng.uniform(-0.5, 1.5, (300, 2)),
+         gauss_square(3).points, gauss_square(5).points]
+    )
+    for fam in (Q1, Q2, P0, Q1B):
+        vals, grads = basis_matrix(fam, pts), grad_matrix(fam, pts)
+        assert vals.flags.c_contiguous and grads.flags.c_contiguous
+        v_ref, g_ref = _closed_form(fam, pts)
+        if fam == Q1B:
+            assert np.array_equal(vals[:, :4], v_ref[:, :4])
+            assert np.array_equal(grads[:, :4], g_ref[:, :4])
+            for got, ref in ((vals[:, 4], v_ref[:, 4]), (grads[:, 4], g_ref[:, 4])):
+                assert np.all(np.abs(got - ref) <= 4 * np.spacing(np.abs(ref)))
+        else:
+            assert np.array_equal(vals, v_ref)
+            assert np.array_equal(grads, g_ref)
 
 
 def test_bubble_values():

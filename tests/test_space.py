@@ -70,25 +70,47 @@ def test_interpolate_bubble_and_p0():
     assert cp == pytest.approx(sp.dof_coords.sum(axis=1), abs=1e-14)
 
 
-def test_p0_dof_coords_are_area_centroids():
-    # flower cells are not parallelograms, so the area centroid differs
-    # from the vertex mean; split each quad into two triangles as oracle
+_LEVEL2_DOMAINS = {
+    "rectangle": DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=2),
+    "lshape": DomainSpec("lshape", bounds=(-1, 1, -1, 1), base_cells=2),
+    "disk": DomainSpec("disk", base_cells=2),
+    "flower": DomainSpec("flower", base_cells=2),
+}
+
+
+@pytest.mark.parametrize("fam", [Q1, Q1B, Q2, P0], ids=["q1", "q1b", "q2", "p0"])
+@pytest.mark.parametrize("domain", list(_LEVEL2_DOMAINS))
+def test_dof_layout_matches_explicit_oracle(domain, fam):
+    # the layout written out per family: vertex dofs are the node ids,
+    # edge dofs follow them, cell dofs come last
+    m = build_mesh(_LEVEL2_DOMAINS[domain], 2)
+    nn, ne, mc = m.num_nodes, m.num_edges, m.num_cells
+    cells = np.arange(mc)[:, None]
+    bnd_edges = nn + np.nonzero(m.boundary_edge_mask)[0]
+    dof_map, ndofs, bnd = {
+        Q1: (m.cells, nn, m.boundary_nodes),
+        Q1B: (np.hstack([m.cells, nn + cells]), nn + mc, m.boundary_nodes),
+        Q2: (
+            np.hstack([m.cells, nn + m.cell_to_edge, nn + ne + cells]),
+            nn + ne + mc,
+            np.sort(np.concatenate([m.boundary_nodes, bnd_edges])),
+        ),
+        P0: (cells, mc, np.zeros(0, dtype=np.int64)),
+    }[fam]
+    s = build_space(m, fam)
+    assert np.array_equal(s.dof_map, dof_map)
+    assert s.ndofs == ndofs
+    assert np.array_equal(dirichlet_dofs(s), bnd)
+
+
+def test_cell_dofs_sit_at_vertex_means():
+    # flower cells are not parallelograms, so the vertex mean (the
+    # bilinear image of the reference centre) is not the area centroid
     m = build_mesh(DomainSpec("flower", base_cells=2), 1)
-    p = m.nodes[m.cells]
-    tri_a = p[:, [0, 1, 2]]
-    tri_b = p[:, [0, 2, 3]]
-
-    def area(t):
-        u = t[:, 1] - t[:, 0]
-        v = t[:, 2] - t[:, 0]
-        return 0.5 * (u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0])
-
-    wa = area(tri_a)[:, None]
-    wb = area(tri_b)[:, None]
-    oracle = (wa * tri_a.mean(axis=1) + wb * tri_b.mean(axis=1)) / (wa + wb)
-    coords = build_space(m, P0).dof_coords
-    assert coords == pytest.approx(oracle, abs=1e-14)
-    assert np.abs(coords - p.mean(axis=1)).max() > 1e-6
+    means = m.nodes[m.cells].mean(axis=1)
+    for fam in (Q1B, Q2, P0):
+        s = build_space(m, fam)
+        assert np.array_equal(s.dof_coords[s.ndofs - m.num_cells:], means)
 
 
 def test_dirichlet_dofs_by_family():
@@ -98,6 +120,10 @@ def test_dirichlet_dofs_by_family():
     q2d = dirichlet_dofs(build_space(m, Q2))
     assert q2d.size == 16  # 8 boundary nodes + 8 boundary edges
     assert np.all(np.diff(q2d) > 0)
+    # p0 dofs live on cells, none on the boundary
+    sp = build_space(m, P0)
+    assert dirichlet_dofs(sp).size == 0
+    assert dirichlet_bc(sp, lambda x, y: x + y).dofs.size == 0
 
 
 def test_dirichlet_bc_values():
