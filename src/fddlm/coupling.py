@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from . import element as el
 from .geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
+from .system import cell_integrals
 
 __all__ = [
     "CouplingTable",
@@ -40,10 +41,6 @@ _COVERAGE_RTOL = 1e-10
 # uniform only up to rounding, and bounding boxes are padded by the same
 # amount so that a cell touched within rounding is still a candidate
 _GRID_RTOL = 1e-9
-# the immersed bases have bidegree <= 2 and the Jacobian determinant of a
-# bilinear cell map bidegree <= 1, so the integrands of C2 have bidegree
-# <= 3 and the 3-point Gauss rule (exact to 5 per direction) is exact
-_C2_RULE = el.gauss_square(3)
 
 
 class CoverageError(RuntimeError):
@@ -198,19 +195,15 @@ def assemble_C1(table, lambda_space, vh_space):
 def assemble_C2(lambda_space, v2_space):
     """Multiplier pairing with the immersed space (same mesh, no clipping).
 
-    Entry (i, j) = integral over cell i of immersed basis function j.
-    Returns an (m, n2) CSR matrix.
+    Entry (i, j) = integral over cell i of immersed basis function j
+    (``system.cell_integrals``). Returns an (m, n2) CSR matrix.
     """
     if lambda_space.family != el.P0:
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("lambda and immersed spaces must share a mesh")
-    mesh = v2_space.mesh
-    fam = v2_space.family
-    phi = el.basis_matrix(fam, _C2_RULE.points)
-    _, det, _ = el.cell_geometry(mesh, _C2_RULE)
-    vals = np.einsum("q,mq,qj->mj", _C2_RULE.weights, det, phi)
-    rows = np.repeat(np.arange(mesh.num_cells), fam.ndofs)
+    vals = cell_integrals(v2_space)
+    rows = np.repeat(np.arange(vals.shape[0]), vals.shape[1])
     mat = sp.coo_matrix(
         (vals.ravel(), (rows, v2_space.dof_map.ravel())),
         shape=(lambda_space.ndofs, v2_space.ndofs),

@@ -39,7 +39,7 @@ from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
 from .runner import element_families
 from .space import build_space
-from .system import _UNPIVOTED_LU, NullSpace, _physical_grads, _scatter, interior_columns
+from .system import _UNPIVOTED_LU, NullSpace, assemble_matrix, interior_columns
 
 __all__ = [
     "build_norm_matrices",
@@ -65,35 +65,15 @@ _GROWTH_MAX = 1e2
 def build_norm_matrices(v2_space, lambda_space):
     """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix).
 
-    N2 is the stiffness plus the mass matrix of v2_space (3x3 Gauss, as
-    ``assemble_stiffness`` and ``assemble_mass``), from one pass over the
-    cells: one geometry evaluation and one scatter.
+    N2 is the stiffness plus the mass matrix of v2_space,
+    ``system.assemble_matrix(v2_space, 1, 1)``: one pass over the cells.
     """
     if lambda_space.family != el.P0:
         raise ValueError("lambda_space must be p0")
     if lambda_space.mesh is not v2_space.mesh:
         raise ValueError("spaces must share the immersed mesh")
     N1 = sp.diags(v2_space.mesh.cell_areas()).tocsr()
-    # the element matrices come from a helper so that its geometry and
-    # gradient temporaries are freed before _scatter allocates N2: built
-    # inline, N2 lands above them on the heap and the sweep's peak RSS
-    # rises by about 2 MB
-    N2 = _scatter(v2_space, _h1_element_matrices(v2_space))
-    return N1, N2
-
-
-def _h1_element_matrices(space):
-    """Per cell, sum_q w det (grad phi_l . grad phi_k + phi_l phi_k); (M, nl, nl)."""
-    quad = el.gauss_square(3)
-    fam, mesh = space.family, space.mesh
-    J, det, _ = el.cell_geometry(mesh, quad)
-    wdet = quad.weights * det
-    g = _physical_grads(fam, mesh, quad, J, det)
-    # (M, q, nl, 2) -> (M, nl, 2q): the gradient terms as one batched matmul
-    g = g.transpose(0, 2, 1, 3).reshape(mesh.num_cells, fam.ndofs, -1)
-    ke = (g * np.repeat(wdet, 2, axis=1)[:, None, :]) @ g.transpose(0, 2, 1)
-    phi = el.basis_matrix(fam, quad.points)
-    return ke + (phi.T * wdet[:, None, :]) @ phi
+    return N1, assemble_matrix(v2_space, 1.0, 1.0)
 
 
 def infsup_constant(C2, N1, N2, h2, stats=None):

@@ -33,8 +33,8 @@ __all__ = [
     "BlockSystem",
     "SolutionTriple",
     "SolverError",
-    "assemble_stiffness",
-    "assemble_mass",
+    "assemble_matrix",
+    "cell_integrals",
     "assemble_load",
     "assemble_A1",
     "assemble_A2",
@@ -50,9 +50,23 @@ __all__ = [
 ]
 
 
-def _physical_grads(fam, mesh, quad, J, det):
-    """Physical basis gradients per cell and quadrature point; (M, q, nl, 2)."""
-    dphi = el.grad_matrix(fam, quad.points)
+# 3x3 Gauss, exact to bidegree 5. The immersed bases have bidegree <= 2
+# and the Jacobian determinant of a bilinear cell map bidegree <= 1, so
+# the integrands of the load and of C2 (bidegree <= 3) are integrated
+# exactly
+_RULE = el.gauss_square(3)
+# 5x5 Gauss, exact to degree 9: two orders above the assembly rule
+_ERROR_RULE = el.gauss_square(5)
+
+
+def _cell_terms(space, quad, grads):
+    """Quadrature weights times Jacobian determinants (M, q), physical
+    points (M, q, 2) and, if ``grads``, physical basis gradients
+    (M, q, nl, 2) on the cells of a space."""
+    J, det, phys = el.cell_geometry(space.mesh, quad)
+    wdet = quad.weights * det
+    if not grads:
+        return wdet, phys, None
     Jinv = np.empty_like(J)
     Jinv[:, :, 0, 0] = J[:, :, 1, 1]
     Jinv[:, :, 0, 1] = -J[:, :, 0, 1]
@@ -60,7 +74,8 @@ def _physical_grads(fam, mesh, quad, J, det):
     Jinv[:, :, 1, 1] = J[:, :, 0, 0]
     Jinv = Jinv / det[:, :, None, None]
     # grad phi = J^{-T} gradref phi
-    return np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
+    dphi = el.grad_matrix(space.family, quad.points)
+    return wdet, phys, np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
 
 
 def _scatter(space, cellvals):
@@ -71,51 +86,54 @@ def _scatter(space, cellvals):
     return mat.tocsr()
 
 
-def assemble_stiffness(space, coeff=1.0, quad=None):
-    """Stiffness matrix weighted by the scalar coeff."""
-    if quad is None:
-        quad = el.gauss_square(3)
-    mesh = space.mesh
-    J, det, _ = el.cell_geometry(mesh, quad)
-    g = _physical_grads(space.family, mesh, quad, J, det)
-    c = np.full(mesh.num_cells, float(coeff))
-    ke = np.einsum("q,m,mq,mqla,mqka->mlk", quad.weights, c, det, g, g, optimize=True)
-    return _scatter(space, ke)
+def _element_matrices(space, stiff, mass):
+    """Per cell, sum_q w det (stiff grad phi_l . grad phi_k + mass phi_l phi_k);
+    (M, nl, nl). A term whose coefficient is zero is not evaluated."""
+    M, nl = space.dof_map.shape
+    wdet, _, g = _cell_terms(space, _RULE, grads=bool(stiff))
+    ke = np.zeros((M, nl, nl))
+    if stiff:
+        # (M, q, nl, 2) -> (M, nl, 2q): the gradient terms as one batched matmul
+        g = g.transpose(0, 2, 1, 3).reshape(M, nl, -1)
+        ke += (g * np.repeat(stiff * wdet, 2, axis=1)[:, None, :]) @ g.transpose(0, 2, 1)
+    if mass:
+        phi = el.basis_matrix(space.family, _RULE.points)
+        ke += (phi.T * (mass * wdet)[:, None, :]) @ phi
+    return ke
 
 
-def assemble_mass(space, coeff=1.0, quad=None):
-    """Mass matrix weighted by the scalar coeff."""
-    if quad is None:
-        quad = el.gauss_square(3)
-    mesh = space.mesh
-    _, det, _ = el.cell_geometry(mesh, quad)
-    phi = el.basis_matrix(space.family, quad.points)
-    c = np.full(mesh.num_cells, float(coeff))
-    me = np.einsum("q,m,mq,ql,qk->mlk", quad.weights, c, det, phi, phi, optimize=True)
-    return _scatter(space, me)
+def assemble_matrix(space, stiff=1.0, mass=0.0):
+    """stiff * stiffness + mass * mass matrix of a space (CSR)."""
+    # the element matrices come from a helper so that its geometry and
+    # gradient temporaries are freed before _scatter allocates the matrix:
+    # built inline, the matrix lands above them on the heap and the
+    # inf-sup sweep's peak RSS rises by about 2 MB
+    return _scatter(space, _element_matrices(space, stiff, mass))
 
 
-def assemble_load(space, f, quad=None):
+def cell_integrals(space):
+    """Integral of every basis function over its cell; (M, nl)."""
+    wdet, _, _ = _cell_terms(space, _RULE, grads=False)
+    # einsum, not @: the inf-sup Lanczos count on clustered spectra hangs
+    # on the last bit of C2 (elm2, disk base 2, level 4: 71 applications
+    # with this summation order, 121 with BLAS's)
+    return np.einsum("mq,qj->mj", wdet, el.basis_matrix(space.family, _RULE.points))
+
+
+def assemble_load(space, f):
     """Load vector of the constant source f."""
-    if quad is None:
-        quad = el.gauss_square(3)
-    _, det, _ = el.cell_geometry(space.mesh, quad)
-    phi = el.basis_matrix(space.family, quad.points)
-    fv = np.full_like(det, float(f))
-    fe = np.einsum("q,mq,mq,ql->ml", quad.weights, det, fv, phi, optimize=True)
-    vec = np.zeros(space.ndofs)
-    np.add.at(vec, space.dof_map.ravel(), fe.ravel())
-    return vec
+    vals = float(f) * cell_integrals(space)
+    return np.bincount(space.dof_map.ravel(), weights=vals.ravel(), minlength=space.ndofs)
 
 
 def assemble_A1(space, beta):
     """Background diffusion block (beta * stiffness on the box mesh)."""
-    return assemble_stiffness(space, coeff=beta)
+    return assemble_matrix(space, beta)
 
 
 def assemble_A2(space, beta, beta2):
     """Immersed correction block ((beta2 - beta) * stiffness)."""
-    return assemble_stiffness(space, coeff=beta2 - beta)
+    return assemble_matrix(space, beta2 - beta)
 
 
 def assemble_rhs(vh_space, v2_space, f=1.0, f2=1.0):
@@ -363,12 +381,10 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     return SolutionTriple(u, u2, lam, residual, cres, stats)
 
 
-def _field_errors(space, coeffs, exact, exact_grad, quad):
+def _field_errors(space, coeffs, exact, exact_grad):
     """Squared L2 and H1-seminorm errors of a field, element by element."""
-    mesh = space.mesh
-    J, det, phys = el.cell_geometry(mesh, quad)
-    phi = el.basis_matrix(space.family, quad.points)
-    g = _physical_grads(space.family, mesh, quad, J, det)
+    wdet, phys, g = _cell_terms(space, _ERROR_RULE, grads=True)
+    phi = el.basis_matrix(space.family, _ERROR_RULE.points)
     local = coeffs[space.dof_map]
     uh = np.einsum("ml,ql->mq", local, phi)
     guh = np.einsum("ml,mqla->mqa", local, g)
@@ -376,14 +392,10 @@ def _field_errors(space, coeffs, exact, exact_grad, quad):
     y = phys[:, :, 1]
     ue = np.asarray(exact(x, y), dtype=float)
     gex, gey = exact_grad(x, y)
-    l2 = float(np.einsum("q,mq,mq->", quad.weights, det, (uh - ue) ** 2))
+    l2 = float(np.einsum("mq,mq->", wdet, (uh - ue) ** 2))
     dsq = (guh[:, :, 0] - gex) ** 2 + (guh[:, :, 1] - gey) ** 2
-    h1 = float(np.einsum("q,mq,mq->", quad.weights, det, dsq))
+    h1 = float(np.einsum("mq,mq->", wdet, dsq))
     return l2, h1
-
-
-# 5x5 Gauss, exact to degree 9: two orders above the assembly default
-_ERROR_QUAD = el.gauss_square(5)
 
 
 def error_norms(sol, vh_space, v2_space, exact_u, exact_u_grad, exact_u2, exact_u2_grad):
@@ -392,8 +404,8 @@ def error_norms(sol, vh_space, v2_space, exact_u, exact_u_grad, exact_u2, exact_
     Reported norms follow the analysis: the background error in H1 is the
     seminorm |u - u_h|_1, the immersed error is the full H1 norm.
     """
-    l2u, h1u = _field_errors(vh_space, sol.u, exact_u, exact_u_grad, _ERROR_QUAD)
-    l2u2, h1u2 = _field_errors(v2_space, sol.u2, exact_u2, exact_u2_grad, _ERROR_QUAD)
+    l2u, h1u = _field_errors(vh_space, sol.u, exact_u, exact_u_grad)
+    l2u2, h1u2 = _field_errors(v2_space, sol.u2, exact_u2, exact_u2_grad)
     return {
         "L2_u": np.sqrt(l2u),
         "H1_u": np.sqrt(h1u),

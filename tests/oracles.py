@@ -15,13 +15,16 @@ fields whose value the tests know. ``edge_table`` finds a mesh's edges
 by a row-wise ``np.unique``; it is the oracle of the one-key edge table.
 ``null_space_apply`` applies the inverse of the inf-sup test's form W
 product by product; it is the oracle of the precomputed operator.
+``assemble_reference`` builds stiffness and mass matrices at any rule by
+one einsum per term, with batched ``np.linalg.inv`` Jacobians; it is the
+oracle of the batched-matmul element matrices.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from fddlm.element import Q1, QuadratureRule, basis_matrix, grad_matrix
+from fddlm.element import Q1, QuadratureRule, basis_matrix, cell_geometry, grad_matrix
 from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
 from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
 
@@ -422,3 +425,18 @@ def null_space_apply(d, Z, interior, r, N2):
         return lift.T @ (N2 @ v)
 
     return apply_inv
+
+
+def assemble_reference(space, stiff, mass, quad):
+    """stiff * stiffness + mass * mass matrix of a space under the rule quad."""
+    J, det, _ = cell_geometry(space.mesh, quad)
+    # physical gradients J^{-T} gradref phi per cell and point
+    g = np.einsum("mqba,qlb->mqla", np.linalg.inv(J), grad_matrix(space.family, quad.points))
+    phi = basis_matrix(space.family, quad.points)
+    ke = np.einsum("q,mq,mqla,mqka->mlk", quad.weights, det, g, g, optimize=True)
+    me = np.einsum("q,mq,ql,qk->mlk", quad.weights, det, phi, phi, optimize=True)
+    nl = space.family.ndofs
+    rows = np.repeat(space.dof_map, nl, axis=1).ravel()
+    cols = np.tile(space.dof_map, (1, nl)).ravel()
+    vals = (stiff * ke + mass * me).ravel()
+    return sp.csr_matrix((vals, (rows, cols)), shape=(space.ndofs, space.ndofs))

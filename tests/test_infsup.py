@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fddlm.infsup as infsup_module
 from fddlm import problems
 from fddlm.coupling import assemble_C2
-from fddlm.element import P0, Q1, Q1B, Q2
+from fddlm.element import P0, Q1, Q1B, Q2, gauss_square
 from fddlm.infsup import (
     _GROWTH_MAX,
     _SINGULAR_TOL,
@@ -22,8 +22,8 @@ from fddlm.infsup import (
 )
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.space import build_space
-from fddlm.system import NullSpace, assemble_mass, assemble_stiffness
-from oracles import null_space_apply
+from fddlm.system import NullSpace, assemble_matrix
+from oracles import assemble_reference, null_space_apply
 
 
 def small_setup(fam=Q1B, level=0, kind="disk", base=1):
@@ -98,15 +98,20 @@ def test_norm_matrices():
 @pytest.mark.parametrize("kind", ["disk", "flower"])
 @pytest.mark.parametrize("fam", [Q1, Q1B, Q2], ids=["q1", "q1b", "q2"])
 def test_norm_matrix_is_stiffness_plus_mass(fam, kind):
-    # N2 comes from one pass over the cells; the two assemblers are its oracle
+    # N2 and the other uses of the element-matrix kernel (A1, the mass
+    # matrix, the case-3 A2) against the einsum oracle at the same rule
     t2 = build_mesh(DomainSpec(kind, base_cells=2), 1)
     v2 = build_space(t2, fam)
     _, N2 = build_norm_matrices(v2, build_space(t2, P0))
-    ref = (assemble_stiffness(v2) + assemble_mass(v2)).tocsr()
     assert N2.format == "csr" and N2.has_canonical_format
     assert N2.indices.dtype == np.int32 and N2.indptr.dtype == np.int32
-    assert N2.nnz == ref.nnz
-    assert abs(N2 - ref).max() <= 1e-14 * abs(ref).max()
+    for stiff, mass in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (-9.0, 0.0)):
+        mat = N2 if (stiff, mass) == (1.0, 1.0) else assemble_matrix(v2, stiff, mass)
+        ref = assemble_reference(v2, stiff, mass, gauss_square(3))
+        assert mat.nnz == ref.nnz
+        assert abs(mat - ref).max() <= 1e-14 * abs(ref).max()
+    # solve_saddle's beta2 = beta guard reads A2.count_nonzero() == 0
+    assert assemble_matrix(v2, 0.0, 0.0).count_nonzero() == 0
 
 
 def test_single_multiplier_closed_form():

@@ -23,11 +23,11 @@ from fddlm.system import (
     SolutionTriple,
     SolverError,
     apply_dirichlet,
+    assemble_A1,
     assemble_A2,
     assemble_load,
-    assemble_mass,
+    assemble_matrix,
     assemble_rhs,
-    assemble_stiffness,
     error_norms,
     full_matrix,
     interior_columns,
@@ -35,7 +35,7 @@ from fddlm.system import (
     project_p0,
     solve_saddle,
 )
-from oracles import CellMap, interpolate
+from oracles import CellMap, assemble_reference, interpolate
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
 # -1/6, diagonal neighbours -1/3
@@ -75,7 +75,7 @@ def coupled_system(t, t2, element, beta, beta2, f=1.0, f2=1.0):
     lh = build_space(t2, P0)
     table = build_intersections(t2, t)
     sysm = BlockSystem(
-        assemble_stiffness(vh, beta),
+        assemble_A1(vh, beta),
         assemble_A2(v2, beta, beta2),
         assemble_C1(table, lh, vh),
         assemble_C2(lh, v2),
@@ -86,10 +86,10 @@ def coupled_system(t, t2, element, beta, beta2, f=1.0, f2=1.0):
 
 def test_q1_unit_stiffness_matrix():
     s = unit_cell_space()
-    K = element_matrix(s, assemble_stiffness(s))
+    K = element_matrix(s, assemble_matrix(s))
     assert K == pytest.approx(K_UNIT, abs=1e-13)
     assert K.sum(axis=1) == pytest.approx(np.zeros(4), abs=1e-14)
-    K10 = element_matrix(s, assemble_stiffness(s, coeff=10.0))
+    K10 = element_matrix(s, assemble_matrix(s, 10.0))
     assert K10 == pytest.approx(10.0 * K_UNIT, abs=1e-12)
 
 
@@ -99,7 +99,7 @@ def test_stiffness_matches_adaptive_quadrature():
     m = build_mesh(DomainSpec("rectangle", bounds=(0, 1, 0, 1), base_cells=1))
     m.nodes[:] = quadpts[[0, 1, 3, 2]]  # node order of the structured grid
     s = build_space(m, Q1)
-    K = assemble_stiffness(s, quad=gauss_square(6)).toarray()
+    K = assemble_reference(s, 1.0, 0.0, gauss_square(6)).toarray()
     cm = CellMap(m.nodes[m.cells[0]])
     il, jl = 0, 2
 
@@ -114,14 +114,14 @@ def test_stiffness_matches_adaptive_quadrature():
     di = s.dof_map[0, il]
     dj = s.dof_map[0, jl]
     assert K[di, dj] == pytest.approx(ref, abs=1e-9)
-    # the assembly default (3x3 Gauss) stays close on mildly distorted cells
-    K3 = assemble_stiffness(s).toarray()
+    # the assembly rule (3x3 Gauss) stays close on mildly distorted cells
+    K3 = assemble_matrix(s).toarray()
     assert abs(K3[di, dj] - ref) < 2e-4
 
 
 def test_mass_matrix_oracle():
     s = unit_cell_space()
-    M = element_matrix(s, assemble_mass(s))
+    M = element_matrix(s, assemble_matrix(s, 0.0, 1.0))
     expect = np.array(
         [[4, 2, 1, 2], [2, 4, 2, 1], [1, 2, 4, 2], [2, 1, 2, 4]]
     ) / 36.0
@@ -132,6 +132,13 @@ def test_load_oracles():
     s = unit_cell_space()
     assert assemble_load(s, 1.0) == pytest.approx(np.full(4, 0.25), abs=1e-14)
     assert assemble_load(s, -3.0) == pytest.approx(np.full(4, -0.75), abs=1e-14)
+    # on the curved disk the bases are a partition of unity, so the load
+    # of f = 1 sums to the area of the (straight-edged) cells
+    t2 = build_mesh(DomainSpec("disk", base_cells=2), 1)
+    area = t2.cell_areas().sum()
+    for fam in (Q1, Q2):
+        total = assemble_load(build_space(t2, fam), 1.0).sum()
+        assert abs(total - area) <= 1e-13 * area
 
 
 def test_a2_scaling_and_kernel():
@@ -235,7 +242,7 @@ def test_matching_meshes_decouple_in_the_equal_coefficient_limit():
     lh = build_space(t2, P0)
     table = build_intersections(t2, t)
     sysm = BlockSystem(
-        assemble_stiffness(vh, 1.0),
+        assemble_A1(vh, 1.0),
         assemble_A2(v2, 1.0, 1.0 + delta),
         assemble_C1(table, lh, vh),
         assemble_C2(lh, v2),
