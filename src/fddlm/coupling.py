@@ -6,7 +6,9 @@ must be a uniform axis-aligned grid (others are rejected with ValueError),
 so the background cells an immersed cell may overlap follow by index
 arithmetic from its bounding box, and clipping an immersed cell against
 one of them is four cuts by grid lines (``geometry.clip_to_boxes``), all
-(immersed, background) candidate pairs in one batched pass. The
+(immersed, background) candidate pairs in one batched pass; a cut runs
+only on the pairs with a vertex outside its line, and the others pass
+unchanged. The
 background cell maps are affine, so each piece is mapped into the
 reference square of its background cell and its monomial moments of
 bidegree <= 2 are taken by Green's theorem (``geometry.polygon_moments``).

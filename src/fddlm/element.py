@@ -27,6 +27,7 @@ __all__ = [
     "QuadratureRule",
     "gauss_square",
     "cell_geometry",
+    "cell_points",
     "invert_bilinear",
 ]
 
@@ -144,15 +145,25 @@ def gauss_square(n):
 
 
 def cell_geometry(mesh, quad):
-    """Jacobians (M, q, 2, 2), determinants (M, q) and physical points
-    (M, q, 2) of a mesh's bilinear cell maps at a rule's points."""
+    """Jacobians (M, q, 2, 2) and determinants (M, q) of a mesh's bilinear
+    cell maps at a rule's points."""
     dN = grad_matrix(Q1, quad.points)
-    N = basis_matrix(Q1, quad.points)
     X = mesh.nodes[mesh.cells]
     J = np.einsum("mla,qlb->mqab", X, dN, optimize=True)
     det = J[:, :, 0, 0] * J[:, :, 1, 1] - J[:, :, 0, 1] * J[:, :, 1, 0]
-    phys = np.einsum("ql,mla->mqa", N, X)
-    return J, det, phys
+    return J, det
+
+
+def cell_points(mesh, quad):
+    """Physical points (M, q, 2) of a mesh's bilinear cell maps at a rule's
+    points: the Q1 basis times the four nodes, summed node by node in
+    local order."""
+    N = basis_matrix(Q1, quad.points)
+    X = mesh.nodes.T[:, mesh.cells.T]  # (coordinate, node, cell)
+    phys = N[:, 0, None, None] * X[:, 0]
+    for node in range(1, 4):
+        phys += N[:, node, None, None] * X[:, node]
+    return phys.transpose(2, 0, 1)
 
 
 def invert_bilinear(quads, x, tol=1e-13, maxit=25):

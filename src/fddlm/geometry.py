@@ -9,6 +9,7 @@ padded rows exactly by Green's theorem. All functions are pure; nothing
 in this module holds state.
 """
 
+from functools import reduce
 from itertools import product
 from math import comb
 
@@ -32,21 +33,14 @@ EDGE_RTOL = 1e-12
 SLIVER_RTOL = 1e-12
 
 
-def _compact(verts, mask):
-    """Move the masked vertices of each row to its front, in order."""
-    count = mask.sum(axis=1)
-    out = np.zeros((verts.shape[0], max(int(count.max(initial=0)), 1), 2))
-    r, c = np.nonzero(mask)
-    out[r, np.cumsum(mask, axis=1)[r, c] - 1] = verts[r, c]
-    return out, count
-
-
 def clip_to_boxes(subjects, lo, hi):
     """Clip convex polygons against axis-aligned boxes (Sutherland-Hodgman).
 
     Each row is cut by the four grid lines x >= lo_x, x <= hi_x,
     y >= lo_y, y <= hi_y of its box. A vertex within EDGE_RTOL of a line
-    counts as on it, and each cut vertex lies exactly on its line.
+    counts as on it, and each cut vertex lies exactly on its line. A cut
+    runs only on the rows with a vertex outside its line; the others,
+    which it would leave as they are, pass unchanged.
 
     Parameters
     ----------
@@ -65,41 +59,61 @@ def clip_to_boxes(subjects, lo, hi):
     count : (P,) ndarray
         Vertex count per row, 0 where the intersection is empty.
     """
-    out = np.asarray(subjects, dtype=float)
+    subjects = np.asarray(subjects, dtype=float)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    P, n = out.shape[:2]
-    diag = np.maximum(out.max(axis=1), hi) - np.minimum(out.min(axis=1), lo)
+    P, n = subjects.shape[:2]
+    # vertex by vertex: numpy reduces over a short inner axis slowly
+    vmax = reduce(np.maximum, subjects.transpose(1, 0, 2))
+    vmin = reduce(np.minimum, subjects.transpose(1, 0, 2))
+    diag = np.maximum(vmax, hi) - np.minimum(vmin, lo)
     tol = EDGE_RTOL * np.hypot(diag[:, 0], diag[:, 1])
-    live = np.arange(P)  # rows still non-empty
+    # each cut of a convex polygon adds at most one vertex
+    out = np.zeros((P, n + 4, 2))
+    out[:, :n] = subjects
     count = np.full(P, n)
     for axis, side, bound in ((0, 1, lo), (0, -1, hi), (1, 1, lo), (1, -1, hi)):
-        line = bound[live, axis]
-        dtol = tol[live, None]
-        col = np.arange(out.shape[1])
-        valid = col < count[:, None]
-        nxt = np.where(col + 1 < count[:, None], col + 1, 0)
+        w = out.shape[1]
+        col = np.arange(w)
         # signed distance to the line; >= 0 means inside
-        d = side * (out[:, :, axis] - line[:, None])
-        dj = np.take_along_axis(d, nxt, axis=1)
-        inside = d >= -dtol
+        d = side * (out[:, :, axis] - bound[:, axis, None])
+        inside = d >= -tol[:, None]
+        valid = col < count[:, None]
+        # a row with no vertex outside the line passes unchanged
+        rows = np.flatnonzero((valid & ~inside).any(axis=1))
+        if not rows.size:
+            continue
+        # the cut rows, flattened: vertex k of cut row r is entry r w + k
+        v, d, inside, valid = out[rows].reshape(-1, 2), d[rows], inside[rows], valid[rows]
+        dtol = tol[rows, None]
+        nxt = (np.arange(rows.size) * w)[:, None] + np.where(col + 1 < count[rows, None], col + 1, 0)
+        dj = d.ravel()[nxt]
         keep = valid & inside
         cut = valid & np.where(inside, (dj < -dtol) & (d > dtol), dj > dtol)
-        t = np.divide(d, d - dj, out=np.zeros_like(d), where=cut)
-        nxt_v = np.take_along_axis(out, nxt[:, :, None], axis=1)
-        cut_v = out + t[:, :, None] * (nxt_v - out)
-        cut_v[:, :, axis] = line[:, None]
-        # each vertex emits itself, then its cut point
-        width = 2 * out.shape[1]
-        cand = np.stack([out, cut_v], axis=2).reshape(live.size, width, 2)
-        out, count = _compact(cand, np.stack([keep, cut], axis=2).reshape(live.size, width))
-        alive = count >= 3
-        live, out, count = live[alive], out[alive], count[alive]
-    verts = np.zeros((P,) + out.shape[1:])
-    verts[live] = out
-    counts = np.zeros(P, dtype=np.int64)
-    counts[live] = count
-    return verts, counts
+        # each vertex emits itself if kept, then the cut point of its edge;
+        # slot is the flat output position just past a vertex's emissions
+        emit = keep.astype(np.int64) + cut
+        pos = np.cumsum(emit, axis=1)
+        c = pos[:, -1]
+        W = max(w, int(c.max()))
+        slot = ((np.arange(rows.size) * W)[:, None] + pos).ravel()
+        piece = np.zeros((rows.size * W, 2))
+        i = np.flatnonzero(keep)
+        piece[slot[i] - emit.ravel()[i]] = v[i]
+        i = np.flatnonzero(cut)
+        di = d.ravel()[i]
+        t = di / (di - dj.ravel()[i])
+        p = v[i] + t[:, None] * (v[nxt.ravel()[i]] - v[i])
+        p[:, axis] = bound[rows[i // w], axis]
+        piece[slot[i] - 1] = p
+        piece = piece.reshape(rows.size, W, 2)
+        # fewer than three vertices: the row is empty from here on
+        piece[c < 3] = 0.0
+        count[rows] = np.where(c < 3, 0, c)
+        if W > w:
+            out = np.pad(out, ((0, 0), (0, W - w), (0, 0)))
+        out[rows] = piece
+    return out[:, : max(int(count.max(initial=0)), 1)], count
 
 
 # exponent pairs (p, k), k <= p <= 2, of the terms x^k y^(p-k) _terms stacks

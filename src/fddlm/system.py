@@ -59,23 +59,20 @@ _RULE = el.gauss_square(3)
 _ERROR_RULE = el.gauss_square(5)
 
 
-def _cell_terms(space, quad, grads):
-    """Quadrature weights times Jacobian determinants (M, q), physical
-    points (M, q, 2) and, if ``grads``, physical basis gradients
-    (M, q, nl, 2) on the cells of a space."""
-    J, det, phys = el.cell_geometry(space.mesh, quad)
+def _cell_terms(space, quad, jinv=False, points=False):
+    """Quadrature weights times Jacobian determinants (M, q) on the cells of
+    a space and, only where asked (else None), the inverse Jacobians
+    (M, q, 2, 2) and the physical points (M, q, 2)."""
+    J, det = el.cell_geometry(space.mesh, quad)
     wdet = quad.weights * det
-    if not grads:
-        return wdet, phys, None
-    Jinv = np.empty_like(J)
-    Jinv[:, :, 0, 0] = J[:, :, 1, 1]
-    Jinv[:, :, 0, 1] = -J[:, :, 0, 1]
-    Jinv[:, :, 1, 0] = -J[:, :, 1, 0]
-    Jinv[:, :, 1, 1] = J[:, :, 0, 0]
-    Jinv = Jinv / det[:, :, None, None]
-    # grad phi = J^{-T} gradref phi
-    dphi = el.grad_matrix(space.family, quad.points)
-    return wdet, phys, np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
+    Jinv = phys = None
+    if jinv:
+        # adj(J) / det, entry-major so that each division runs over (M, q)
+        adj = np.stack([J[:, :, 1, 1], -J[:, :, 0, 1], -J[:, :, 1, 0], J[:, :, 0, 0]])
+        Jinv = (adj / det).transpose(1, 2, 0).reshape(J.shape)
+    if points:
+        phys = el.cell_points(space.mesh, quad)
+    return wdet, Jinv, phys
 
 
 def _scatter(space, cellvals):
@@ -90,9 +87,12 @@ def _element_matrices(space, stiff, mass):
     """Per cell, sum_q w det (stiff grad phi_l . grad phi_k + mass phi_l phi_k);
     (M, nl, nl). A term whose coefficient is zero is not evaluated."""
     M, nl = space.dof_map.shape
-    wdet, _, g = _cell_terms(space, _RULE, grads=bool(stiff))
+    wdet, Jinv, _ = _cell_terms(space, _RULE, jinv=bool(stiff))
     ke = np.zeros((M, nl, nl))
     if stiff:
+        # grad phi = J^{-T} gradref phi per cell, point and basis function
+        dphi = el.grad_matrix(space.family, _RULE.points)
+        g = np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
         # (M, q, nl, 2) -> (M, nl, 2q): the gradient terms as one batched matmul
         g = g.transpose(0, 2, 1, 3).reshape(M, nl, -1)
         ke += (g * np.repeat(stiff * wdet, 2, axis=1)[:, None, :]) @ g.transpose(0, 2, 1)
@@ -113,7 +113,7 @@ def assemble_matrix(space, stiff=1.0, mass=0.0):
 
 def cell_integrals(space):
     """Integral of every basis function over its cell; (M, nl)."""
-    wdet, _, _ = _cell_terms(space, _RULE, grads=False)
+    wdet, _, _ = _cell_terms(space, _RULE)
     # einsum, not @: the inf-sup Lanczos count on clustered spectra hangs
     # on the last bit of C2 (elm2, disk base 2, level 4: 71 applications
     # with this summation order, 121 with BLAS's)
@@ -383,18 +383,25 @@ def solve_saddle(system, bc=None, rtol=1e-10):
 
 def _field_errors(space, coeffs, exact, exact_grad):
     """Squared L2 and H1-seminorm errors of a field, element by element."""
-    wdet, phys, g = _cell_terms(space, _ERROR_RULE, grads=True)
-    phi = el.basis_matrix(space.family, _ERROR_RULE.points)
-    local = coeffs[space.dof_map]
-    uh = np.einsum("ml,ql->mq", local, phi)
-    guh = np.einsum("ml,mqla->mqa", local, g)
+    wdet, Jinv, phys = _cell_terms(space, _ERROR_RULE, jinv=True, points=True)
+    # the field's values and reference gradients at every point in one GEMM
+    # against the (nl, 3q) table of basis values and reference gradients
+    pts = _ERROR_RULE.points
+    table = np.concatenate(
+        [el.basis_matrix(space.family, pts)[:, :, None], el.grad_matrix(space.family, pts)],
+        axis=2,
+    )
+    field = coeffs[space.dof_map] @ table.transpose(1, 2, 0).reshape(space.family.ndofs, -1)
+    uh, dx, dy = field.reshape(wdet.shape[0], 3, -1).transpose(1, 0, 2)
+    # grad u_h = J^{-T} gradref u_h
+    gx = Jinv[:, :, 0, 0] * dx + Jinv[:, :, 1, 0] * dy
+    gy = Jinv[:, :, 0, 1] * dx + Jinv[:, :, 1, 1] * dy
     x = phys[:, :, 0]
     y = phys[:, :, 1]
     ue = np.asarray(exact(x, y), dtype=float)
     gex, gey = exact_grad(x, y)
     l2 = float(np.einsum("mq,mq->", wdet, (uh - ue) ** 2))
-    dsq = (guh[:, :, 0] - gex) ** 2 + (guh[:, :, 1] - gey) ** 2
-    h1 = float(np.einsum("mq,mq->", wdet, dsq))
+    h1 = float(np.einsum("mq,mq->", wdet, (gx - gex) ** 2 + (gy - gey) ** 2))
     return l2, h1
 
 

@@ -17,7 +17,13 @@ by a row-wise ``np.unique``; it is the oracle of the one-key edge table.
 product by product; it is the oracle of the precomputed operator.
 ``assemble_reference`` builds stiffness and mass matrices at any rule by
 one einsum per term, with batched ``np.linalg.inv`` Jacobians; it is the
-oracle of the batched-matmul element matrices.
+oracle of the batched-matmul element matrices. ``cell_points_einsum``
+maps a rule's points into every cell by one einsum; the node-by-node sum
+must equal it bit for bit. ``clip_to_boxes_all_rows`` runs each grid-line
+pass of the clipper on every row; it is the oracle of the clipper that
+runs a pass only on the rows the line cuts. ``field_errors_reference``
+measures a field's errors through per-basis physical gradients; it is the
+oracle of the error norms taken from the field's reference gradients.
 """
 
 import numpy as np
@@ -429,7 +435,7 @@ def null_space_apply(d, Z, interior, r, N2):
 
 def assemble_reference(space, stiff, mass, quad):
     """stiff * stiffness + mass * mass matrix of a space under the rule quad."""
-    J, det, _ = cell_geometry(space.mesh, quad)
+    J, det = cell_geometry(space.mesh, quad)
     # physical gradients J^{-T} gradref phi per cell and point
     g = np.einsum("mqba,qlb->mqla", np.linalg.inv(J), grad_matrix(space.family, quad.points))
     phi = basis_matrix(space.family, quad.points)
@@ -440,3 +446,71 @@ def assemble_reference(space, stiff, mass, quad):
     cols = np.tile(space.dof_map, (1, nl)).ravel()
     vals = (stiff * ke + mass * me).ravel()
     return sp.csr_matrix((vals, (rows, cols)), shape=(space.ndofs, space.ndofs))
+
+
+def cell_points_einsum(mesh, quad):
+    """Physical points (M, q, 2) of the cell maps at a rule's points."""
+    return np.einsum("ql,mla->mqa", basis_matrix(Q1, quad.points), mesh.nodes[mesh.cells])
+
+
+def _compact(verts, mask):
+    count = mask.sum(axis=1)
+    out = np.zeros((verts.shape[0], max(int(count.max(initial=0)), 1), 2))
+    r, c = np.nonzero(mask)
+    out[r, np.cumsum(mask, axis=1)[r, c] - 1] = verts[r, c]
+    return out, count
+
+
+def clip_to_boxes_all_rows(subjects, lo, hi):
+    """``geometry.clip_to_boxes`` with every grid-line pass run on every
+    non-empty row; same arguments and results."""
+    out = np.asarray(subjects, dtype=float)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    P, n = out.shape[:2]
+    diag = np.maximum(out.max(axis=1), hi) - np.minimum(out.min(axis=1), lo)
+    tol = EDGE_RTOL * np.hypot(diag[:, 0], diag[:, 1])
+    live = np.arange(P)
+    count = np.full(P, n)
+    for axis, side, bound in ((0, 1, lo), (0, -1, hi), (1, 1, lo), (1, -1, hi)):
+        line = bound[live, axis]
+        dtol = tol[live, None]
+        col = np.arange(out.shape[1])
+        valid = col < count[:, None]
+        nxt = np.where(col + 1 < count[:, None], col + 1, 0)
+        d = side * (out[:, :, axis] - line[:, None])
+        dj = np.take_along_axis(d, nxt, axis=1)
+        inside = d >= -dtol
+        keep = valid & inside
+        cut = valid & np.where(inside, (dj < -dtol) & (d > dtol), dj > dtol)
+        t = np.divide(d, d - dj, out=np.zeros_like(d), where=cut)
+        nxt_v = np.take_along_axis(out, nxt[:, :, None], axis=1)
+        cut_v = out + t[:, :, None] * (nxt_v - out)
+        cut_v[:, :, axis] = line[:, None]
+        width = 2 * out.shape[1]
+        cand = np.stack([out, cut_v], axis=2).reshape(live.size, width, 2)
+        out, count = _compact(cand, np.stack([keep, cut], axis=2).reshape(live.size, width))
+        alive = count >= 3
+        live, out, count = live[alive], out[alive], count[alive]
+    verts = np.zeros((P,) + out.shape[1:])
+    verts[live] = out
+    counts = np.zeros(P, dtype=np.int64)
+    counts[live] = count
+    return verts, counts
+
+
+def field_errors_reference(space, coeffs, exact, exact_grad, quad):
+    """Squared L2 and H1-seminorm errors of a field under the rule quad,
+    from the physical gradients of every basis function."""
+    J, det = cell_geometry(space.mesh, quad)
+    wdet = quad.weights * det
+    g = np.einsum("mqba,qlb->mqla", np.linalg.inv(J), grad_matrix(space.family, quad.points))
+    local = coeffs[space.dof_map]
+    uh = np.einsum("ml,ql->mq", local, basis_matrix(space.family, quad.points))
+    guh = np.einsum("ml,mqla->mqa", local, g)
+    phys = cell_points_einsum(space.mesh, quad)
+    x, y = phys[:, :, 0], phys[:, :, 1]
+    gex, gey = exact_grad(x, y)
+    l2 = float(np.einsum("mq,mq->", wdet, (uh - np.asarray(exact(x, y), dtype=float)) ** 2))
+    dsq = (guh[:, :, 0] - gex) ** 2 + (guh[:, :, 1] - gey) ** 2
+    return l2, float(np.einsum("mq,mq->", wdet, dsq))

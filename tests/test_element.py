@@ -12,11 +12,14 @@ from fddlm.element import (
     Q1B,
     Q2,
     basis_matrix,
+    cell_points,
     gauss_square,
     grad_matrix,
     invert_bilinear,
 )
-from oracles import CellMap, cell_map_inverse, gauss_triangle
+from fddlm.runner import study_meshes
+from fddlm.system import _ERROR_RULE, _RULE
+from oracles import CellMap, cell_map_inverse, cell_points_einsum, gauss_triangle
 
 Q1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 Q2_NODES = np.array(
@@ -260,3 +263,16 @@ def test_invert_bilinear_stops_on_singular_jacobian():
     assert converged.tolist() == [True, False]
     assert np.isnan(ref[1]).all()
     assert np.array_equal(ref[0], cell_map_inverse(good, x[0])[0])
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_cell_points_equal_einsum_bitwise(example):
+    # the self-convergence transfer locates these points, and its edge
+    # tie-breaks hang on their last bit: the node-by-node sum must equal
+    # the einsum exactly, on both meshes of a study, levels 0-3
+    bg, im, _ = study_meshes(example, 8, 1.0, 4)
+    for mesh in bg + im:
+        for quad in (_RULE, _ERROR_RULE):
+            pts = cell_points(mesh, quad)
+            assert pts.shape == (mesh.num_cells, quad.weights.size, 2)
+            assert np.array_equal(pts, cell_points_einsum(mesh, quad))

@@ -9,8 +9,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
+from fddlm import coupling
 from fddlm.geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
-from oracles import clip_convex, fan_rule, fan_triangulate, signed_area
+from fddlm.runner import study_meshes
+from oracles import clip_convex, clip_to_boxes_all_rows, fan_rule, fan_triangulate, signed_area
 
 
 def square(x0, y0, x1, y1):
@@ -253,6 +255,45 @@ def test_box_clip_matches_clip_convex(rows):
         # below while R / diag stays below ~1e3
         tol = 1e-13 * diag**2 * R ** np.add.outer(e, e)
         assert np.all(np.abs(M[k] - Mref) <= tol)
+
+
+def assert_clips_equal(subjects, lo, hi):
+    """clip_to_boxes equals the all-rows oracle bit for bit."""
+    verts, count = clip_to_boxes(subjects, lo, hi)
+    overts, ocount = clip_to_boxes_all_rows(subjects, lo, hi)
+    assert np.array_equal(count, ocount)
+    for k, c in enumerate(count):
+        assert np.array_equal(verts[k, :c], overts[k, :c])
+        assert not verts[k, c:].any()
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(quad_boxes(), min_size=1, max_size=25))
+def test_box_clip_matches_all_rows_oracle(rows):
+    assert_clips_equal(
+        np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
+    )
+
+
+@pytest.mark.parametrize(
+    "example, base_cells, ratio, levels", [(3, 16, 1.0, 3), (3, 16, 1.08, 3), (4, 4, 1.0, 4)]
+)
+def test_box_clip_matches_all_rows_on_study_meshes(monkeypatch, example, base_cells, ratio, levels):
+    # every candidate pair build_intersections clips in the disk studies
+    # (ratio 1 and 1.08) and the flower study
+    calls = []
+
+    def record(subjects, lo, hi):
+        calls.append((subjects, lo, hi))
+        return clip_to_boxes(subjects, lo, hi)
+
+    monkeypatch.setattr(coupling, "clip_to_boxes", record)
+    bg, im, _ = study_meshes(example, base_cells, ratio, levels)
+    for t, t2 in zip(bg, im):
+        coupling.build_intersections(t2, t)
+    assert len(calls) == levels
+    for args in calls:
+        assert_clips_equal(*args)
 
 
 def test_box_clip_special_rows():

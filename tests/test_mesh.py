@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddlm import problems
-from fddlm.element import cell_geometry, gauss_square
+from fddlm.element import cell_points, gauss_square
 from fddlm.mesh import CellLocator, DomainSpec, build_mesh, refine_uniform
 from fddlm.runner import build_mesh_sequence
 from oracles import CellMap, build_radial_mesh, edge_table, locate
@@ -190,7 +190,7 @@ def test_locate_matches_oracle_on_transfers(example):
     fallback = 0
     for seq in (bg, im):
         for k in (0, 1):
-            pts = cell_geometry(seq[k], gauss_square(5))[2].reshape(-1, 2)
+            pts = cell_points(seq[k], gauss_square(5)).reshape(-1, 2)
             loc = CellLocator(seq[k + 2])
             cells, refs = loc.locate(pts, slack=1.5)
             ocells, orefs = locate(seq[k + 2], pts, slack=1.5)

@@ -15,7 +15,7 @@ from fddlm import problems
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
 from fddlm.element import P0, Q1, Q2, gauss_square, grad_matrix
 from fddlm.mesh import DomainSpec, build_mesh
-from fddlm.runner import ELEMENTS, solve_level
+from fddlm.runner import ELEMENTS, FEFieldRef, solve_level, study_meshes
 from fddlm.space import build_space, dirichlet_bc
 from fddlm.system import (
     BlockSystem,
@@ -35,7 +35,7 @@ from fddlm.system import (
     project_p0,
     solve_saddle,
 )
-from oracles import CellMap, assemble_reference, interpolate
+from oracles import CellMap, assemble_reference, field_errors_reference, interpolate
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
 # -1/6, diagonal neighbours -1/3
@@ -464,3 +464,34 @@ def test_error_norms_reproduction():
     e = error_norms(sol, vh, v2, g, grad, g, grad)
     for v in e.values():
         assert v < 1e-12
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2", "q1q1p0"])
+def test_field_errors_match_reference(element):
+    # error norms from the field's reference gradients against per-basis
+    # physical gradients, on the disk solutions of levels 0 and 1, with
+    # the closed-form fields and the level-2 solution as references
+    beta, beta2 = problems.CASES[1]
+    ex = problems.exact_solution(3, 1)
+    bg, im, _ = study_meshes(3, 4, 1.0, 3)
+    data = [solve_level(t, t2, element, beta, beta2, g=ex["u1"]) for t, t2 in zip(bg, im)]
+    ref = data[2]
+    u_ref, u2_ref = FEFieldRef(ref.vh, ref.sol.u), FEFieldRef(ref.v2, ref.sol.u2)
+    for d in data[:2]:
+        for space, coeffs, refs in (
+            (d.vh, d.sol.u, [(ex["u"], ex["grad_u"]), (u_ref.value, u_ref.grad)]),
+            (d.v2, d.sol.u2, [(ex["u2"], ex["grad_u2"]), (u2_ref.value, u2_ref.grad)]),
+        ):
+            for f, grad in refs:
+                got = system_module._field_errors(space, coeffs, f, grad)
+                want = field_errors_reference(space, coeffs, f, grad, system_module._ERROR_RULE)
+                assert got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+def test_cell_terms_compute_only_what_is_asked():
+    space = build_space(build_mesh(DomainSpec("disk", base_cells=2), 1), Q2)
+    wdet, jinv, pts = system_module._cell_terms(space, system_module._RULE)
+    assert wdet.shape == (space.mesh.num_cells, 9)
+    assert jinv is None and pts is None
+    _, jinv, pts = system_module._cell_terms(space, system_module._RULE, jinv=True, points=True)
+    assert jinv.shape == (space.mesh.num_cells, 9, 2, 2) and pts.shape == (space.mesh.num_cells, 9, 2)
