@@ -1,13 +1,14 @@
-"""Exact cross-mesh coupling by polygon clipping and polygon moments.
+"""Exact cross-mesh coupling by Green's-theorem moments of the cut cells.
 
 The multiplier couples fields living on two unrelated meshes, so the
 assembly needs integrals of background basis functions over immersed
 cells. The background is a uniform axis-aligned grid, so the background
 cells an immersed cell may touch follow from its bounding box by index
-arithmetic. Each immersed cell is clipped against them
-(Sutherland-Hodgman), and every convex fragment gets its moments
-M[p, q] = integral of xi^p eta^q (p, q <= 2) in the reference coordinates
-of its background cell, exactly, by Green's theorem. The Q1 and Q2 bases
+arithmetic, and in the reference coordinates (xi, eta) of one of them the
+cell is the unit square. Every fragment, the immersed cell's part of that
+square, gets its moments M[p, q] = integral of xi^p eta^q (p, q <= 2),
+exactly, by Green's theorem on the immersed cell's own four edges; the
+fragment itself is never built. The Q1 and Q2 bases
 are combinations of these monomials, so C1 is one product of the moments
 with the basis' monomial coefficients. Two checks make the exactness
 visible:

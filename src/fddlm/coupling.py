@@ -4,27 +4,25 @@ The multiplier pairing restricted to the background space needs integrals
 of background basis functions over immersed cells. The background mesh
 must be a uniform axis-aligned grid (others are rejected with ValueError),
 so the background cells an immersed cell may overlap follow by index
-arithmetic from its bounding box, and clipping an immersed cell against
-one of them is four cuts by grid lines (``geometry.clip_to_boxes``), all
-(immersed, background) candidate pairs in one batched pass; a cut runs
-only on the pairs with a vertex outside its line, and the others pass
-unchanged. The
-background cell maps are affine, so each piece is mapped into the
-reference square of its background cell and its monomial moments of
-bidegree <= 2 are taken by Green's theorem (``geometry.polygon_moments``).
-A piece whose area, the moment M00, is below ``SLIVER_RTOL`` of its
-immersed cell's area is a sliver of a cell that touches a grid line, and
-is dropped. The Q1, Q1+bubble and Q2 bases are polynomials of bidegree
-<= 2 there, so C1 is one product of the moments with the bases' monomial
-coefficients. Nothing on cut cells is sampled or approximated; the
-integrals are exact up to floating point rounding.
+arithmetic from its bounding box, and in its own reference coordinates
+each of them is the unit square. Each (immersed, background)
+candidate pair gets the monomial moments of bidegree <= 2 over the
+immersed cell's part of that square by Green's theorem on the immersed
+cell's own four edges (``geometry.square_moments``), all pairs in one
+batched call; the pieces themselves are never built. A piece whose area,
+the moment M00, is below ``SLIVER_RTOL`` of its immersed cell's area is
+empty or a sliver of a cell that touches a grid line, and is dropped. The
+Q1, Q1+bubble and Q2 bases are polynomials of bidegree <= 2 there, so C1
+is one product of the moments with the bases' monomial coefficients.
+Nothing on cut cells is sampled or approximated; the integrals are exact
+up to floating point rounding.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import element as el
-from .geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
+from .geometry import square_moments
 from .system import cell_integrals
 
 __all__ = [
@@ -39,6 +37,9 @@ __all__ = [
 # are the lattice {0, 1/2, 1}^2, unisolvent for polynomials of bidegree <= 2
 _POWERS = np.array([(p, q) for p in range(3) for q in range(3)])
 _COVERAGE_RTOL = 1e-10
+# relative to the area of the immersed cell: a piece smaller than this is
+# empty up to rounding, or a sliver of a cell that touches a grid line
+SLIVER_RTOL = 1e-12
 # grid tolerance relative to the coordinate scale: refined grids are
 # uniform only up to rounding, and bounding boxes are padded by the same
 # amount so that a cell touched within rounding is still a candidate
@@ -50,7 +51,7 @@ class CoverageError(RuntimeError):
 
 
 class CouplingTable:
-    """Clipped pieces (fragments) of immersed cells against background cells.
+    """Pieces (fragments) of immersed cells in background cells.
 
     Fragment k is the intersection of immersed cell ``cell[k]`` with
     background cell ``bg_cell[k]``. Fragments are ordered by immersed
@@ -99,17 +100,17 @@ def _grid(t):
 
 
 def build_intersections(t2, t):
-    """Clip every immersed cell against the background grid in one pass.
+    """Moments of every immersed cell's pieces in the background grid, in one pass.
 
     The candidates of an immersed cell are the background cells of its
     padded index box. All (immersed, background) candidate pairs, ordered
-    by immersed cell and then background cell index, are cut at once by
-    the four grid lines of their background cell (``clip_to_boxes``).
-    Each non-empty piece, in the reference coordinates
-    (xi, eta) = (x - lower left) / extent of its background cell, gets the
-    moments of xi^p eta^q for p, q <= 2, scaled back to physical area. A
+    by immersed cell and then background cell index, map the immersed
+    cell into the reference coordinates
+    (xi, eta) = (x - lower left) / extent of their background cell, where
+    ``square_moments`` integrates xi^p eta^q, p, q <= 2, over its part of
+    the unit square; the moments are scaled back to physical area. A
     piece whose area M00 is below ``SLIVER_RTOL`` times the area of its
-    immersed cell is a sliver and is dropped.
+    immersed cell is empty or a sliver, and is dropped.
 
     Parameters
     ----------
@@ -144,12 +145,9 @@ def build_intersections(t2, t):
     order = np.lexsort((bg_cell, cell))
     cell, bg_cell = cell[order], bg_cell[order]
     quads = t.nodes[t.cells[bg_cell]]
-    verts, count = clip_to_boxes(polys[cell], quads[:, 0], quads[:, 2])
-    hit = count > 0
-    cell, bg_cell, count, quads = cell[hit], bg_cell[hit], count[hit], quads[hit]
     lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
-    ref = (verts[hit] - lo[:, None]) / ext[:, None]
-    moments = polygon_moments(ref, count) * ext.prod(axis=1)[:, None, None]
+    ref = (polys[cell] - lo[:, None]) / ext[:, None]
+    moments = square_moments(ref) * ext.prod(axis=1)[:, None, None]
     target = np.abs(t2.cell_areas())
     solid = moments[:, 0, 0] >= SLIVER_RTOL * target[cell]
     cell, bg_cell, moments = cell[solid], bg_cell[solid], moments[solid]

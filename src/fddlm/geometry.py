@@ -1,160 +1,76 @@
-"""Planar geometry kernel: clipping against grid cells and polygon moments.
+"""Planar geometry kernel: monomial moments of polygons cut by the unit square.
 
-Polygons are (n, 2) float arrays with vertices in counterclockwise order;
-batches of them are padded to a common vertex count with a count per row.
-``clip_to_boxes`` clips convex polygons against axis-aligned boxes, the
-cells of a uniform background grid, by four grid-line cuts.
-``polygon_moments`` integrates the monomials x^p y^q, p, q <= 2, over
-padded rows exactly by Green's theorem. All functions are pure; nothing
-in this module holds state.
+``square_moments`` takes polygons in the reference coordinates (xi, eta)
+of a grid cell, the unit square, and integrates xi^p eta^q, p, q <= 2,
+over each polygon's intersection with the square by Green's theorem on
+the polygon's own edges; the intersection itself is never built. The
+function is pure; nothing in this module holds state.
 """
-
-from functools import reduce
-from itertools import product
-from math import comb
 
 import numpy as np
 
-__all__ = [
-    "EDGE_RTOL",
-    "SLIVER_RTOL",
-    "clip_to_boxes",
-    "polygon_moments",
-]
+__all__ = ["square_moments"]
 
-# Relative to the bounding-box diagonal of a polygon/box pair: a vertex
-# this close to a grid line counts as on it. Cut points carry rounding
-# errors of a few ulps of the coordinates, far below it; genuine features
-# of the meshes are far above.
-EDGE_RTOL = 1e-12
-# Relative to the area of the polygon being clipped: a piece smaller than
-# this is a sliver left by a polygon that touches a box within EDGE_RTOL
-# along an edge or at a corner, and counts as empty.
-SLIVER_RTOL = 1e-12
+# 3-point Gauss-Legendre rule on [0, 1]: exact for degree <= 5, the degree
+# of eta^q xi^(p+1) along a straight edge for p, q <= 2
+_GAUSS_T = 0.5 + np.sqrt(0.15) * np.array([-1.0, 0.0, 1.0])
+_GAUSS_W = np.array([5.0, 8.0, 5.0]) / 18.0
 
 
-def clip_to_boxes(subjects, lo, hi):
-    """Clip convex polygons against axis-aligned boxes (Sutherland-Hodgman).
+def square_moments(polys):
+    """Integrals of xi^p eta^q, p, q <= 2, over polygons cut by [0, 1]^2.
 
-    Each row is cut by the four grid lines x >= lo_x, x <= hi_x,
-    y >= lo_y, y <= hi_y of its box. A vertex within EDGE_RTOL of a line
-    counts as on it, and each cut vertex lies exactly on its line. A cut
-    runs only on the rows with a vertex outside its line; the others,
-    which it would leave as they are, pass unchanged.
+    With c the clamp to [0, 1] and xi0 the first vertex's xi, the field
+    F = [0 <= eta <= 1] eta^q (c(xi)^(p+1) - c(xi0)^(p+1)) / (p+1) has
+    dF/dxi = xi^p eta^q on the square and 0 off it, so by Green's theorem
+    the integral over polygon ∩ square is the contour integral of F deta
+    around the polygon. The xi0 term, a function of eta alone, adds zero
+    around a closed polygon and makes a polygon off the square give exact
+    zeros. Each edge is split where eta leaves [0, 1] and where xi crosses
+    0 or 1; on each piece of positive length F deta is a polynomial of
+    degree <= 5 in the edge parameter, which the 3-point Gauss rule
+    integrates exactly.
 
     Parameters
     ----------
-    subjects : (P, n, 2) array_like
-        Convex polygons, counterclockwise.
-    lo, hi : (P, 2) array_like
-        Lower left and upper right corners of the boxes.
+    polys : (P, n, 2) array_like
+        Polygons, counterclockwise; a repeated vertex adds nothing.
 
     Returns
     -------
-    verts : (P, w, 2) ndarray
-        Row k holds the clipped polygon in its first ``count[k]``
-        vertices, counterclockwise; the rest is zero padding. A polygon
-        that touches its box only along a line may leave a sliver here;
-        slivers are for the caller to drop by area.
-    count : (P,) ndarray
-        Vertex count per row, 0 where the intersection is empty.
+    M : (P, 3, 3) ndarray
+        M[k, p, q] is the integral of xi^p eta^q over polys[k] ∩ [0, 1]^2,
+        exact up to rounding.
     """
-    subjects = np.asarray(subjects, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    P, n = subjects.shape[:2]
-    # vertex by vertex: numpy reduces over a short inner axis slowly
-    vmax = reduce(np.maximum, subjects.transpose(1, 0, 2))
-    vmin = reduce(np.minimum, subjects.transpose(1, 0, 2))
-    diag = np.maximum(vmax, hi) - np.minimum(vmin, lo)
-    tol = EDGE_RTOL * np.hypot(diag[:, 0], diag[:, 1])
-    # each cut of a convex polygon adds at most one vertex
-    out = np.zeros((P, n + 4, 2))
-    out[:, :n] = subjects
-    count = np.full(P, n)
-    for axis, side, bound in ((0, 1, lo), (0, -1, hi), (1, 1, lo), (1, -1, hi)):
-        w = out.shape[1]
-        col = np.arange(w)
-        # signed distance to the line; >= 0 means inside
-        d = side * (out[:, :, axis] - bound[:, axis, None])
-        inside = d >= -tol[:, None]
-        valid = col < count[:, None]
-        # a row with no vertex outside the line passes unchanged
-        rows = np.flatnonzero((valid & ~inside).any(axis=1))
-        if not rows.size:
-            continue
-        # the cut rows, flattened: vertex k of cut row r is entry r w + k
-        v, d, inside, valid = out[rows].reshape(-1, 2), d[rows], inside[rows], valid[rows]
-        dtol = tol[rows, None]
-        nxt = (np.arange(rows.size) * w)[:, None] + np.where(col + 1 < count[rows, None], col + 1, 0)
-        dj = d.ravel()[nxt]
-        keep = valid & inside
-        cut = valid & np.where(inside, (dj < -dtol) & (d > dtol), dj > dtol)
-        # each vertex emits itself if kept, then the cut point of its edge;
-        # slot is the flat output position just past a vertex's emissions
-        emit = keep.astype(np.int64) + cut
-        pos = np.cumsum(emit, axis=1)
-        c = pos[:, -1]
-        W = max(w, int(c.max()))
-        slot = ((np.arange(rows.size) * W)[:, None] + pos).ravel()
-        piece = np.zeros((rows.size * W, 2))
-        i = np.flatnonzero(keep)
-        piece[slot[i] - emit.ravel()[i]] = v[i]
-        i = np.flatnonzero(cut)
-        di = d.ravel()[i]
-        t = di / (di - dj.ravel()[i])
-        p = v[i] + t[:, None] * (v[nxt.ravel()[i]] - v[i])
-        p[:, axis] = bound[rows[i // w], axis]
-        piece[slot[i] - 1] = p
-        piece = piece.reshape(rows.size, W, 2)
-        # fewer than three vertices: the row is empty from here on
-        piece[c < 3] = 0.0
-        count[rows] = np.where(c < 3, 0, c)
-        if W > w:
-            out = np.pad(out, ((0, 0), (0, W - w), (0, 0)))
-        out[rows] = piece
-    return out[:, : max(int(count.max(initial=0)), 1)], count
-
-
-# exponent pairs (p, k), k <= p <= 2, of the terms x^k y^(p-k) _terms stacks
-_PK = np.array([(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
-
-
-def _terms(x, y):
-    return np.stack([np.ones_like(x), y, x, y * y, x * y, x * x], axis=-1)
-
-
-# Steger (1996): with a = (x_i, y_i), b = (x_{i+1}, y_{i+1}), int x^p y^q is
-# the sum over edges of cross(a, b) sum_{k<=p, l<=q} C(k+l, l) C(p+q-k-l, q-l)
-# b_x^k a_x^(p-k) b_y^l a_y^(q-l) / ((p+q+2) (p+q+1) C(p+q, p)); row
-# ((p, k), (q, l)) of _GREEN holds that coefficient in column 3 p + q
-_GREEN = np.zeros((36, 9))
-for _i, ((_p, _k), (_q, _l)) in enumerate(product(_PK.tolist(), repeat=2)):
-    _d = (_p + _q + 2) * (_p + _q + 1) * comb(_p + _q, _p)
-    _GREEN[_i, 3 * _p + _q] = comb(_k + _l, _l) * comb(_p + _q - _k - _l, _q - _l) / _d
-
-
-def polygon_moments(verts, count):
-    """Integrals of x^p y^q, p, q <= 2, over padded polygon rows.
-
-    Row k of ``verts`` (P, w, 2) holds a counterclockwise polygon in its
-    first ``count[k]`` vertices. Returns M (P, 3, 3) with M[k, p, q] the
-    integral of x^p y^q over polygon k, exact up to rounding (Green's
-    theorem); rows with count 0 give zeros.
-    """
-    v = np.asarray(verts, dtype=float)
-    P, w = v.shape[:2]
-    col = np.arange(w)
-    count = np.asarray(count)[:, None]
-    # edges about each row's first vertex o, so that rounding scales with
-    # the polygon's size and not with its distance from the origin
-    o = v[:, 0]
-    a = v - o[:, None]
-    b = np.take_along_axis(a, np.where(col + 1 < count, col + 1, 0)[..., None], axis=1)
-    cross = np.where(col < count, a[..., 0] * b[..., 1] - b[..., 0] * a[..., 1], 0.0)
-    ex = cross[..., None] * _terms(b[..., 0], a[..., 0])
-    local = (np.swapaxes(ex, 1, 2) @ _terms(b[..., 1], a[..., 1])).reshape(P, 36) @ _GREEN
-    # back to the origin: x^p = sum_k C(p, k) o^(p-k) (x - o)^k
-    s = np.zeros((2, P, 3, 3))
-    s[:, :, _PK[:, 0], _PK[:, 1]] = _terms(np.ones((2, P)), o.T) * [comb(*pk) for pk in _PK]
-    return s[0] @ local.reshape(P, 3, 3) @ np.swapaxes(s[1], 1, 2)
+    a = np.asarray(polys, dtype=float)
+    P, n = a.shape[:2]
+    d = np.roll(a, -1, axis=1) - a
+    # edge parameters where xi (axis 0) and eta (axis 1) reach 0 and 1; an
+    # edge parallel to an axis gets 0 for both, so it never crosses its lines
+    at0 = np.divide(-a, d, out=np.zeros_like(a), where=d != 0)
+    at1 = np.divide(1.0 - a, d, out=np.zeros_like(a), where=d != 0)
+    enter, leave = np.minimum(at0, at1), np.maximum(at0, at1)
+    # the part of each edge in the strip 0 <= eta <= 1, cut where xi
+    # crosses 0 and 1 into three pieces
+    lo = np.clip(enter[..., 1], 0.0, 1.0)
+    hi = np.clip(leave[..., 1], 0.0, 1.0)
+    cuts = np.stack([lo, np.clip(enter[..., 0], lo, hi), np.clip(leave[..., 0], lo, hi), hi], -1)
+    length = np.diff(cuts, axis=-1).ravel()
+    keep = np.flatnonzero(length > 0)
+    edge = keep // 3
+    row = edge // n
+    c0 = np.clip(a[row, :1, 0], 0.0, 1.0)
+    a, d, length = a.reshape(-1, 2)[edge], d.reshape(-1, 2)[edge], length[keep, None]
+    t = cuts[..., :-1].ravel()[keep, None] + length * _GAUSS_T
+    c = np.clip(a[:, :1] + t * d[:, :1], 0.0, 1.0)
+    eta = a[:, 1:] + t * d[:, 1:]
+    # (c^(p+1) - c0^(p+1)) / (p+1) deta, with c - c0 factored out
+    dc = (c - c0) * (length * _GAUSS_W * d[:, 1:])
+    F = (dc, dc * (c + c0) / 2, dc * (c * c + c * c0 + c0 * c0) / 3)
+    E = (1.0, eta, eta * eta)
+    index = np.repeat(row, 3)
+    M = np.empty((P, 3, 3))
+    for p in range(3):
+        for q in range(3):
+            M[:, p, q] = np.bincount(index, weights=(F[p] * E[q]).ravel(), minlength=P)
+    return M

@@ -1,12 +1,13 @@
 """Independent reference implementations that only the tests use.
 
-``clip_convex`` intersects one pair of general convex polygons; it is the
-oracle of the batched grid-line clipper. ``fan_rule`` integrates over a
-convex polygon by a triangle rule on its fan triangulation; it is the
-oracle of the Green's-theorem polygon moments. ``CellMap`` is the
-bilinear map of one quad and ``cell_map_inverse`` its scalar Newton
-inverse; ``locate`` and ``evaluate_grad`` place and differentiate a field
-one point at a time. They are the oracles of the batched point location.
+``clip_convex`` intersects one pair of general convex polygons, and
+``fan_rule`` integrates over a convex polygon by a triangle rule on its
+fan triangulation; together they are the oracle of the Green's-theorem
+moments of an immersed cell's part of a grid cell, which are taken
+without building that part. ``CellMap`` is the bilinear map of one quad
+and ``cell_map_inverse`` its scalar Newton inverse; ``locate`` and
+``evaluate_grad`` place and differentiate a field one point at a time.
+They are the oracles of the batched point location.
 ``build_radial_mesh`` merges the disk blocks' nodes one at a time through
 a dict and projects boundary midpoints one edge at a time; it is the
 oracle of the array-only disk and flower builder. ``interpolate`` sets
@@ -19,20 +20,24 @@ product by product; it is the oracle of the precomputed operator.
 one einsum per term, with batched ``np.linalg.inv`` Jacobians; it is the
 oracle of the batched-matmul element matrices. ``cell_points_einsum``
 maps a rule's points into every cell by one einsum; the node-by-node sum
-must equal it bit for bit. ``clip_to_boxes_all_rows`` runs each grid-line
-pass of the clipper on every row; it is the oracle of the clipper that
-runs a pass only on the rows the line cuts. ``field_errors_reference``
-measures a field's errors through per-basis physical gradients; it is the
-oracle of the error norms taken from the field's reference gradients.
+must equal it bit for bit. ``field_errors_reference`` measures a field's
+errors through per-basis physical gradients; it is the oracle of the
+error norms taken from the field's reference gradients.
 """
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from fddlm.coupling import SLIVER_RTOL
 from fddlm.element import Q1, QuadratureRule, basis_matrix, cell_geometry, grad_matrix
-from fddlm.geometry import EDGE_RTOL, SLIVER_RTOL
 from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
+
+# Relative to the bounding-box diagonal of a subject/clipper pair: a vertex
+# this close to a clipping line counts as on it. Cut points carry rounding
+# errors of a few ulps of the coordinates, far below it; genuine features
+# of the meshes are far above.
+EDGE_RTOL = 1e-12
 
 
 def interpolate(space, g):
@@ -77,7 +82,7 @@ def signed_area(poly):
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def clip_convex(subject, clipper):
+def clip_convex(subject, clipper, tol=EDGE_RTOL):
     """Intersect two convex polygons by Sutherland-Hodgman clipping.
 
     Parameters
@@ -87,6 +92,10 @@ def clip_convex(subject, clipper):
     clipper : (m, 2) array_like
         Convex clipping polygon, counterclockwise. Each directed edge
         defines a half plane; the subject is clipped against all of them.
+    tol : float
+        A vertex whose distance to a clipping line is at most ``tol``
+        times the pair's bounding-box diagonal counts as on the line; at
+        0, only a vertex exactly on it does.
 
     Returns
     -------
@@ -102,7 +111,7 @@ def clip_convex(subject, clipper):
         return None
     span = np.concatenate([out, clp])
     scale = float(np.linalg.norm(span.max(axis=0) - span.min(axis=0)))
-    dtol = EDGE_RTOL * scale  # signed-distance tolerance for on-edge points
+    dtol = tol * scale  # signed-distance tolerance for on-edge points
     m = clp.shape[0]
     for k in range(m):
         a = clp[k]
@@ -451,52 +460,6 @@ def assemble_reference(space, stiff, mass, quad):
 def cell_points_einsum(mesh, quad):
     """Physical points (M, q, 2) of the cell maps at a rule's points."""
     return np.einsum("ql,mla->mqa", basis_matrix(Q1, quad.points), mesh.nodes[mesh.cells])
-
-
-def _compact(verts, mask):
-    count = mask.sum(axis=1)
-    out = np.zeros((verts.shape[0], max(int(count.max(initial=0)), 1), 2))
-    r, c = np.nonzero(mask)
-    out[r, np.cumsum(mask, axis=1)[r, c] - 1] = verts[r, c]
-    return out, count
-
-
-def clip_to_boxes_all_rows(subjects, lo, hi):
-    """``geometry.clip_to_boxes`` with every grid-line pass run on every
-    non-empty row; same arguments and results."""
-    out = np.asarray(subjects, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    P, n = out.shape[:2]
-    diag = np.maximum(out.max(axis=1), hi) - np.minimum(out.min(axis=1), lo)
-    tol = EDGE_RTOL * np.hypot(diag[:, 0], diag[:, 1])
-    live = np.arange(P)
-    count = np.full(P, n)
-    for axis, side, bound in ((0, 1, lo), (0, -1, hi), (1, 1, lo), (1, -1, hi)):
-        line = bound[live, axis]
-        dtol = tol[live, None]
-        col = np.arange(out.shape[1])
-        valid = col < count[:, None]
-        nxt = np.where(col + 1 < count[:, None], col + 1, 0)
-        d = side * (out[:, :, axis] - line[:, None])
-        dj = np.take_along_axis(d, nxt, axis=1)
-        inside = d >= -dtol
-        keep = valid & inside
-        cut = valid & np.where(inside, (dj < -dtol) & (d > dtol), dj > dtol)
-        t = np.divide(d, d - dj, out=np.zeros_like(d), where=cut)
-        nxt_v = np.take_along_axis(out, nxt[:, :, None], axis=1)
-        cut_v = out + t[:, :, None] * (nxt_v - out)
-        cut_v[:, :, axis] = line[:, None]
-        width = 2 * out.shape[1]
-        cand = np.stack([out, cut_v], axis=2).reshape(live.size, width, 2)
-        out, count = _compact(cand, np.stack([keep, cut], axis=2).reshape(live.size, width))
-        alive = count >= 3
-        live, out, count = live[alive], out[alive], count[alive]
-    verts = np.zeros((P,) + out.shape[1:])
-    verts[live] = out
-    counts = np.zeros(P, dtype=np.int64)
-    counts[live] = count
-    return verts, counts
 
 
 def field_errors_reference(space, coeffs, exact, exact_grad, quad):

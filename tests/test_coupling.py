@@ -1,4 +1,4 @@
-"""Cross-mesh coupling: exact clipping quadrature and pairing matrices."""
+"""Cross-mesh coupling: exact cut-cell moments and pairing matrices."""
 
 import numpy as np
 import pytest
@@ -56,10 +56,13 @@ def per_pair_fragments(t2, t):
     return out
 
 
-@pytest.mark.parametrize("example", [3, 4])
-def test_table_matches_per_pair_clipping(example):
+@pytest.mark.parametrize(
+    "example, ratio", [(3, 1.0), (4, 1.0), (3, 1.08)], ids=["3", "4", "3-1.08"]
+)
+def test_table_matches_per_pair_clipping(example, ratio):
+    # the disk at ratios 1 and 1.08 and the flower, as the studies run them
     bg = build_mesh_sequence(problems.background_spec(example, 16), 3)
-    base = problems.immersed_base_for_ratio(example, bg[0].h, 1.0)
+    base = problems.immersed_base_for_ratio(example, bg[0].h, ratio)
     im = build_mesh_sequence(problems.immersed_spec(example, base), 3)
     e = np.arange(3)
     for t, t2 in zip(bg, im):

@@ -1,5 +1,6 @@
-"""Clipping and polygon moments checked against closed forms, the general
-one-pair clipper and a triangle-rule oracle."""
+"""Moments of polygons cut by the unit square, checked against closed
+forms, the general one-pair clipper and a triangle-rule oracle; the
+oracle clipper itself checked against closed forms."""
 
 from math import factorial
 
@@ -9,10 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
-from fddlm import coupling
-from fddlm.geometry import SLIVER_RTOL, clip_to_boxes, polygon_moments
-from fddlm.runner import study_meshes
-from oracles import clip_convex, clip_to_boxes_all_rows, fan_rule, fan_triangulate, signed_area
+from fddlm.coupling import SLIVER_RTOL
+from fddlm.geometry import square_moments
+from oracles import clip_convex, fan_rule, fan_triangulate, signed_area
 
 
 def square(x0, y0, x1, y1):
@@ -194,8 +194,7 @@ def quad_boxes(draw):
     else:  # a grid-aligned rectangle, with edges on the box's lines
         shear, aspect, rot, angles = 0.0, draw(st.floats(0.3, 3)), 0.0, None
     quad = affine_quad(center, size, rot * 2 * np.pi, shear, aspect, angles)
-    # a mesh cell: no vertices within EDGE_RTOL of each other, which the
-    # oracle merges and so moves its piece by up to ~EDGE_RTOL diag^2
+    # a mesh cell: no two vertices within 1e-3 of its size
     edges = np.roll(quad, -1, axis=0) - quad
     assume(np.hypot(edges[:, 0], edges[:, 1]).min() > 1e-3 * size)
     qlo, qhi = quad.min(axis=0), quad.max(axis=0)
@@ -225,94 +224,11 @@ def quad_boxes(draw):
     return quad, lo, hi
 
 
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(quad_boxes(), min_size=1, max_size=25))
-def test_box_clip_matches_clip_convex(rows):
-    subjects = np.array([r[0] for r in rows])
-    lo = np.array([r[1] for r in rows])
-    hi = np.array([r[2] for r in rows])
-    verts, count = clip_to_boxes(subjects, lo, hi)
-    M = polygon_moments(verts, count)
-    # pieces below SLIVER_RTOL of the subject's area are dropped, as the
-    # coupling table drops them
-    area0 = polygon_moments(subjects, np.full(len(rows), 4))[:, 0, 0]
-    empty = (count == 0) | (M[:, 0, 0] < SLIVER_RTOL * area0)
-    M[empty] = 0.0
-    e = np.arange(3)
-    for k, (p, a, b) in enumerate(rows):
-        ref = clip_convex(p, square(a[0], a[1], b[0], b[1]))
-        assert empty[k] == (ref is None)
-        span = np.vstack([p, a, b])
-        diag = np.linalg.norm(span.max(axis=0) - span.min(axis=0))
-        R = np.abs(span).max()
-        if not empty[k]:
-            piece = verts[k, : count[k]]
-            assert is_ccw_convex(piece, tol=1e-9)
-            assert np.all(piece >= a - 1e-12 * diag) and np.all(piece <= b + 1e-12 * diag)
-        Mref = np.zeros((3, 3)) if ref is None else polygon_moments(ref[None], [len(ref)])[0]
-        # both clippers round each cut vertex to an ulp of its coordinates,
-        # so their moments agree to ~1e-16 R diag R^(p+q), inside the bound
-        # below while R / diag stays below ~1e3
-        tol = 1e-13 * diag**2 * R ** np.add.outer(e, e)
-        assert np.all(np.abs(M[k] - Mref) <= tol)
-
-
-def assert_clips_equal(subjects, lo, hi):
-    """clip_to_boxes equals the all-rows oracle bit for bit."""
-    verts, count = clip_to_boxes(subjects, lo, hi)
-    overts, ocount = clip_to_boxes_all_rows(subjects, lo, hi)
-    assert np.array_equal(count, ocount)
-    for k, c in enumerate(count):
-        assert np.array_equal(verts[k, :c], overts[k, :c])
-        assert not verts[k, c:].any()
-
-
-@settings(max_examples=100, deadline=None)
-@given(rows=st.lists(quad_boxes(), min_size=1, max_size=25))
-def test_box_clip_matches_all_rows_oracle(rows):
-    assert_clips_equal(
-        np.array([r[0] for r in rows]), np.array([r[1] for r in rows]), np.array([r[2] for r in rows])
-    )
-
-
-@pytest.mark.parametrize(
-    "example, base_cells, ratio, levels", [(3, 16, 1.0, 3), (3, 16, 1.08, 3), (4, 4, 1.0, 4)]
-)
-def test_box_clip_matches_all_rows_on_study_meshes(monkeypatch, example, base_cells, ratio, levels):
-    # every candidate pair build_intersections clips in the disk studies
-    # (ratio 1 and 1.08) and the flower study
-    calls = []
-
-    def record(subjects, lo, hi):
-        calls.append((subjects, lo, hi))
-        return clip_to_boxes(subjects, lo, hi)
-
-    monkeypatch.setattr(coupling, "clip_to_boxes", record)
-    bg, im, _ = study_meshes(example, base_cells, ratio, levels)
-    for t, t2 in zip(bg, im):
-        coupling.build_intersections(t2, t)
-    assert len(calls) == levels
-    for args in calls:
-        assert_clips_equal(*args)
-
-
-def test_box_clip_special_rows():
-    s = square(-1, -1, 1, 1)
-    r2 = np.sqrt(2.0)
-    diamond = np.array([[r2, 0], [0, r2], [-r2, 0], [0, -r2]])
-    subjects = np.array([diamond, s, s, s, s, diamond])
-    lo = np.array([[-1, -1], [-1, -1], [2, 0], [1, -1], [1, 1], [r2, -1]])
-    hi = np.array([[1, 1], [1, 1], [3, 1], [2, 1], [2, 2], [3, 1]])
-    verts, count = clip_to_boxes(subjects, lo, hi)
-    # octagon, identity, disjoint, shared edge, shared corner, and the
-    # diamond's corner on a box line
-    assert count.tolist() == [8, 4, 0, 0, 0, 0]
-    assert np.array_equal(verts[1, :4], s)
-    octagon = verts[0, :8]
-    assert signed_area(octagon) == pytest.approx(8 * r2 - 8, rel=1e-13)
-    # every cut vertex lies exactly on its grid line
-    on_line = np.isin(octagon, [-1.0, 1.0])
-    assert np.all(on_line.any(axis=1))
+def box_moments(quads, lo, hi):
+    """square_moments of quads in the reference coordinates of the boxes
+    [lo, hi], scaled back to physical area."""
+    ext = hi - lo
+    return square_moments((quads - lo[:, None]) / ext[:, None]) * ext.prod(axis=1)[:, None, None]
 
 
 def fan_rule_moments(poly):
@@ -322,16 +238,69 @@ def fan_rule_moments(poly):
     return np.einsum("k,kp,kq->pq", wts, pts[:, :1] ** e, pts[:, 1:] ** e)
 
 
-def test_polygon_moments_closed_forms():
-    unit = square(0, 0, 1, 1)
-    tri = np.array([[0, 0], [1, 0], [0, 1], [7, 7]], dtype=float)  # last row is padding
-    verts = np.array([unit, tri, np.full((4, 2), 3.0)])
-    M = polygon_moments(verts, np.array([4, 3, 0]))
+@settings(max_examples=100, deadline=None)
+@given(rows=st.lists(quad_boxes(), min_size=1, max_size=25))
+def test_box_clip_matches_clip_convex(rows):
+    quads, lo, hi = (np.array([r[i] for r in rows]) for i in range(3))
+    M = box_moments(quads, lo, hi)
+    # a piece below SLIVER_RTOL of the quad's area is empty, as the
+    # coupling table drops it
+    threshold = SLIVER_RTOL * np.array([signed_area(q) for q in quads])
+    empty = M[:, 0, 0] < threshold
+    for k, (quad, a, b) in enumerate(rows):
+        piece = clip_convex(quad, square(a[0], a[1], b[0], b[1]), tol=0.0)
+        Mref = np.zeros((3, 3))
+        if piece is not None:
+            Mref = fan_rule_moments((piece - a) / (b - a)) * np.prod(b - a)
+        if empty[k] != (piece is None):
+            # only a piece at the threshold may fall on either side of it
+            band = 1e-3 * threshold[k]
+            assert abs(M[k, 0, 0] - threshold[k]) <= band
+            assert piece is None or abs(Mref[0, 0] - threshold[k]) <= band
+            continue
+        span = np.vstack([quad, a, b])
+        diag = np.linalg.norm(span.max(axis=0) - span.min(axis=0))
+        # either route rounds each coordinate to an ulp of R = max |x|, so
+        # the moments, at most the box area, agree to ~1e-16 R diag, inside
+        # the bound below while R / diag stays below ~1e3
+        tol = 1e-13 * diag**2
+        assert np.all(np.abs(np.where(empty[k], 0.0, M[k]) - Mref) <= tol)
+
+
+def test_box_clip_special_rows():
+    s = square(-1, -1, 1, 1)
+    r2 = np.sqrt(2.0)
+    diamond = np.array([[r2, 0], [0, r2], [-r2, 0], [0, -r2]])
+    subjects = np.array([diamond, s, s, s, s, diamond])
+    lo = np.array([[-1, -1], [-1, -1], [2, 0], [1, -1], [1, 1], [r2, -1]])
+    hi = np.array([[1, 1], [1, 1], [3, 1], [2, 1], [2, 2], [3, 1]])
+    M = box_moments(subjects, lo, hi)
+    # octagon and identity
+    assert M[0, 0, 0] == pytest.approx(8 * r2 - 8, rel=1e-13)
+    assert M[1, 0, 0] == pytest.approx(4.0, rel=1e-14)
+    # disjoint, shared edge, shared corner, and the diamond's corner on a
+    # box line: exact zeros
+    assert not M[2:].any()
+
+
+def test_square_moments_closed_forms():
     e = np.arange(3)
+    inside = square(0, 0, 1, 1)
+    cover = square(-1, -0.5, 2, 3)
+    tri = np.array([[0, 0], [1, 0], [0, 1], [0, 1]], dtype=float)  # a repeated vertex
+    off = [  # left, right, below and above the square
+        square(-2, 0.2, -1, 0.8),
+        square(2, 0.2, 3, 0.8),
+        square(0.2, -3, 0.8, -1),
+        square(0.2, 2, 0.8, 3),
+    ]
+    touching = square(1, 0.2, 2, 0.8)  # on xi = 1 from outside
+    M = square_moments(np.array([inside, cover, tri, *off, touching]))
     assert M[0] == pytest.approx(1.0 / np.outer(e + 1, e + 1), abs=1e-15)
+    assert M[1] == pytest.approx(1.0 / np.outer(e + 1, e + 1), abs=1e-15)
     ref = [[factorial(p) * factorial(q) / factorial(p + q + 2) for q in e] for p in e]
-    assert M[1] == pytest.approx(np.array(ref), abs=1e-15)
-    assert np.array_equal(M[2], np.zeros((3, 3)))
+    assert M[2] == pytest.approx(np.array(ref), abs=1e-15)
+    assert not M[3:].any()
 
 
 @st.composite
@@ -353,17 +322,15 @@ def convex_polygons(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(polys=st.lists(convex_polygons(), min_size=1, max_size=10))
-def test_polygon_moments_match_fan_triangle_rule(polys):
-    count = np.array([len(p) for p in polys])
-    verts = np.zeros((len(polys), 8, 2))
-    for k, p in enumerate(polys):
-        verts[k, : len(p)] = p
-    M = polygon_moments(verts, count)
-    e = np.arange(3)
-    for k, p in enumerate(polys):
-        # rounding of either route is a few ulps of diag^2 R^(p+q): the
-        # diagonal's square bounds the area, R bounds |x| and |y|
-        diag = np.linalg.norm(p.max(axis=0) - p.min(axis=0))
-        R = np.abs(p).max()
-        tol = 1e-13 * diag**2 * R ** np.add.outer(e, e)
-        assert np.all(np.abs(M[k] - fan_rule_moments(p)) <= tol)
+def test_square_moments_match_fan_triangle_rule(polys):
+    # each polygon scaled into the unit square, whose lines then cut
+    # nothing (a polygon of one point stays one); a repeated last vertex
+    # pads it to eight
+    refs = [(p - p.min(axis=0)) / max(np.ptp(p, axis=0).max(), 1e-300) for p in polys]
+    verts = np.array([np.vstack([r, np.repeat(r[-1:], 8 - len(r), axis=0)]) for r in refs])
+    M = square_moments(verts)
+    for k, r in enumerate(refs):
+        # rounding of either route is a few ulps of diag^2, which bounds
+        # the area and every moment
+        diag = np.linalg.norm(r.max(axis=0) - r.min(axis=0))
+        assert np.all(np.abs(M[k] - fan_rule_moments(r)) <= 1e-13 * diag**2)
