@@ -2,13 +2,13 @@
 
 A background box mesh carries the global solution, an independent mesh
 of the immersed region carries a correction field, and a piecewise
-constant Lagrange multiplier ties the two together. The coupling terms
-are integrated on exact polygon intersections of the two meshes, so
-neither mesh needs to fit the interface.
+constant Lagrange multiplier, one value per immersed cell, ties the two
+together. The coupling terms are integrated exactly over the overlaps of
+the two meshes, so neither mesh needs to fit the interface.
 """
 
 from .coupling import CouplingTable, CoverageError, assemble_C1, assemble_C2, build_intersections
-from .element import P0, Q1, Q1B, Q2, gauss_square
+from .element import Q1, Q1B, Q2, gauss_square
 from .infsup import InfSupReport, infsup_constant, infsup_sweep
 from .mesh import DomainSpec, QuadMesh, build_mesh, refine_uniform
 from .runner import run_study, solve_level
@@ -32,7 +32,6 @@ __all__ = [
     "assemble_C1",
     "assemble_C2",
     "build_intersections",
-    "P0",
     "Q1",
     "Q1B",
     "Q2",

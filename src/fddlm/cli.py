@@ -97,6 +97,12 @@ def _config_json(cfg):
     return json.dumps(asdict(cfg), sort_keys=True, separators=(", ", ": "))
 
 
+def _write_json(path, payload):
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
 def _ensure_outdir(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     return cfg.output_dir
@@ -153,10 +159,7 @@ def cmd_solve(cfg):
             exact["u"], exact["grad_u"], exact["u2"], exact["grad_u2"],
         )
         summary["errors"] = {k: float(v) for k, v in e.items()}
-    path = os.path.join(outdir, "summary.json")
-    with open(path, "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "summary.json"), summary)
     return summary
 
 
@@ -186,7 +189,6 @@ def cmd_convergence(cfg):
         f.write(
             "rate,nan,nan," + ",".join(_fmt(res.rates[c]) for c in cols) + "\n"
         )
-    json_path = os.path.join(outdir, "rates.json")
     payload = {
         "config": asdict(cfg),
         "immersed_base": res.immersed_base,
@@ -201,9 +203,7 @@ def cmd_convergence(cfg):
         "dims": res.dims,
         "stats": res.stats,
     }
-    with open(json_path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, allow_nan=True)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "rates.json"), payload)
     return res
 
 
@@ -243,9 +243,7 @@ def cmd_infsup(cfg):
         "stats": report.stats,
         "verdict": report.verdict(),
     }
-    with open(os.path.join(outdir, "infsup.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(os.path.join(outdir, "infsup.json"), payload)
     return report
 
 

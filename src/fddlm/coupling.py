@@ -1,21 +1,23 @@
 """Coupling between the background and immersed spaces.
 
-The multiplier pairing restricted to the background space needs integrals
-of background basis functions over immersed cells. The background mesh
-must be a uniform axis-aligned grid (others are rejected with ValueError),
-so the background cells an immersed cell may overlap follow by index
-arithmetic from its bounding box, and in its own reference coordinates
-each of them is the unit square. Each (immersed, background)
-candidate pair gets the monomial moments of bidegree <= 2 over the
-immersed cell's part of that square by Green's theorem on the immersed
-cell's own four edges (``geometry.square_moments``), all pairs in one
-batched call; the pieces themselves are never built. A piece whose area,
-the moment M00, is below ``SLIVER_RTOL`` of its immersed cell's area is
-empty or a sliver of a cell that touches a grid line, and is dropped. The
-Q1, Q1+bubble and Q2 bases are polynomials of bidegree <= 2 there, so C1
-is one product of the moments with the bases' monomial coefficients.
-Nothing on cut cells is sampled or approximated; the integrals are exact
-up to floating point rounding.
+The multiplier is one value per immersed cell, numbered as the cells, so
+both pairings have a row per immersed cell. The pairing with the
+background space needs integrals of background basis functions over
+immersed cells. The background mesh must be a uniform axis-aligned grid
+(others are rejected with ValueError), so the background cells an
+immersed cell may overlap follow by index arithmetic from its bounding
+box, and in its own reference coordinates each of them is the unit
+square. Each (immersed, background) candidate pair gets the monomial
+moments of bidegree <= 2 over the immersed cell's part of that square by
+Green's theorem on the immersed cell's own four edges
+(``geometry.square_moments``), all pairs in one batched call; the pieces
+themselves are never built. A piece whose area, the moment M00, is below
+``SLIVER_RTOL`` of its immersed cell's area is empty or a sliver of a
+cell that touches a grid line, and is dropped. The Q1, Q1+bubble and Q2
+bases are polynomials of bidegree <= 2 there, so C1 is one product of the
+moments with the bases' monomial coefficients. Nothing on cut cells is
+sampled or approximated; the integrals are exact up to floating point
+rounding.
 """
 
 import numpy as np
@@ -162,22 +164,20 @@ def build_intersections(t2, t):
     return CouplingTable(t2, t, cell, bg_cell, moments)
 
 
-def assemble_C1(table, lambda_space, vh_space):
+def assemble_C1(table, vh_space):
     """Multiplier pairing with the background space.
 
+    The multiplier is one value per immersed cell, numbered as the cells.
     Entry (i, j) = integral over (immersed cell i) of the background
-    basis function j, accumulated fragment by fragment. The multiplier is
-    piecewise constant with basis value 1 on its cell. A background basis
-    function of bidegree <= 2 is a combination of the monomials
+    basis function j, accumulated fragment by fragment. A background
+    basis function of bidegree <= 2 is a combination of the monomials
     xi^p eta^q of its cell's reference coordinates, so its integral over a
     fragment is the same combination of the fragment's moments.
 
-    Returns an (m, n) CSR matrix, m = dim(Lambda_h), n = dim(V_h).
+    Returns an (m, n) CSR matrix, m = immersed cells, n = dim(V_h).
     """
-    if lambda_space.family != el.P0:
-        raise ValueError("lambda_space must be p0")
-    if lambda_space.mesh is not table.t2 or vh_space.mesh is not table.t:
-        raise ValueError("coupling table does not match the given spaces")
+    if vh_space.mesh is not table.t:
+        raise ValueError("coupling table does not match the background space")
     fam = vh_space.family
     # monomial coefficients of the basis from its values on the lattice
     lattice = _POWERS / 2
@@ -187,25 +187,21 @@ def assemble_C1(table, lambda_space, vh_space):
     rows = np.repeat(table.cell, fam.ndofs)
     cols = vh_space.dof_map[table.bg_cell].ravel()
     mat = sp.coo_matrix(
-        (vals.ravel(), (rows, cols)), shape=(lambda_space.ndofs, vh_space.ndofs)
+        (vals.ravel(), (rows, cols)), shape=(table.t2.num_cells, vh_space.ndofs)
     )
     return mat.tocsr()
 
 
-def assemble_C2(lambda_space, v2_space):
+def assemble_C2(v2_space):
     """Multiplier pairing with the immersed space (same mesh, no clipping).
 
     Entry (i, j) = integral over cell i of immersed basis function j
-    (``system.cell_integrals``). Returns an (m, n2) CSR matrix.
+    (``system.cell_integrals``). Returns an (m, n2) CSR matrix, m = the
+    cells of ``v2_space.mesh``.
     """
-    if lambda_space.family != el.P0:
-        raise ValueError("lambda_space must be p0")
-    if lambda_space.mesh is not v2_space.mesh:
-        raise ValueError("lambda and immersed spaces must share a mesh")
     vals = cell_integrals(v2_space)
     rows = np.repeat(np.arange(vals.shape[0]), vals.shape[1])
     mat = sp.coo_matrix(
-        (vals.ravel(), (rows, v2_space.dof_map.ravel())),
-        shape=(lambda_space.ndofs, v2_space.ndofs),
+        (vals.ravel(), (rows, v2_space.dof_map.ravel())), shape=(vals.shape[0], v2_space.ndofs)
     )
     return mat.tocsr()

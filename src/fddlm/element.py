@@ -1,10 +1,10 @@
 """Reference elements on the unit square, quadrature rules, cell maps.
 
 Every family is a tensor product: basis function i is f_a(x) f_b(y), its
-two 1-D factors taken from the table ``_1D`` (the constant, 1 - t, t and
-the quadratic Lagrange functions on {0, 1/2, 1}). q1 uses (1 - t, t) in
-both directions, q2 the quadratics, q1b adds to q1 the bubble
-(4x(1-x)) (4y(1-y)), and p0 is the constant. The factors' nodes give each
+two 1-D factors taken from the table ``_1D`` of five: 1 - t, t and the
+quadratic Lagrange functions on {0, 1/2, 1}. q1 uses (1 - t, t) in both
+directions, q2 the quadratics, and q1b adds to q1 the bubble
+(4x(1-x)) (4y(1-y)). The factors' nodes give each
 function a reference node, and its count of 1/2 coordinates the entity
 that carries the dof: 0 a vertex, 1 an edge, 2 the cell. Vertices come
 first, counterclockwise from (0,0); then edges, bottom, right, top, left
@@ -21,7 +21,6 @@ __all__ = [
     "Q1",
     "Q2",
     "Q1B",
-    "P0",
     "basis_matrix",
     "grad_matrix",
     "QuadratureRule",
@@ -31,10 +30,9 @@ __all__ = [
     "invert_bilinear",
 ]
 
-# (node, value, derivative) of each 1-D factor; constant values and
-# derivatives are Python floats, which broadcast in the products below
+# (node, value, derivative) of each 1-D factor; constant derivatives are
+# Python floats, which broadcast in the products below
 _1D = (
-    (0.5, lambda t: 1.0, lambda t: 0.0),
     (0.0, lambda t: 1.0 - t, lambda t: -1.0),
     (1.0, lambda t: t, lambda t: 1.0),
     (0.0, lambda t: 2.0 * t * t - 3.0 * t + 1.0, lambda t: 4.0 * t - 3.0),
@@ -71,10 +69,9 @@ class ElementFamily:
         return [(n.count(0.5), _NODES.index(n) - 4 * n.count(0.5)) for n in nodes]
 
 
-Q1 = ElementFamily("q1", (1, 2, 2, 1), (1, 1, 2, 2))
-Q2 = ElementFamily("q2", (3, 5, 5, 3, 4, 5, 4, 3, 4), (3, 3, 5, 5, 3, 4, 5, 4, 4))
-Q1B = ElementFamily("q1b", (1, 2, 2, 1, 4), (1, 1, 2, 2, 4))
-P0 = ElementFamily("p0", (0,), (0,))
+Q1 = ElementFamily("q1", (0, 1, 1, 0), (0, 0, 1, 1))
+Q2 = ElementFamily("q2", (2, 4, 4, 2, 3, 4, 3, 2, 3), (2, 2, 4, 4, 2, 3, 4, 3, 3))
+Q1B = ElementFamily("q1b", (0, 1, 1, 0, 3), (0, 0, 1, 1, 3))
 
 
 def _factors(idx, t, k):

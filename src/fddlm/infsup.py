@@ -1,13 +1,14 @@
 """Numerical inf-sup test for the multiplier coupling.
 
-The discrete inf-sup constant of the pairing between the immersed space
-and the piecewise constant multiplier space is the m-th largest
-eigenvalue sigma of the generalized eigenproblem
+The multiplier is one value per immersed cell, numbered as the cells.
+The discrete inf-sup constant of its pairing with the immersed space is
+the m-th largest eigenvalue sigma of the generalized eigenproblem
 
     S v = sigma N2 v,    S = C2^T (h2^2 N1)^{-1} C2,
 
 with N1 the multiplier mass matrix (diagonal of cell areas), N2 the H1
-matrix (stiffness + mass) of the immersed space and m = dim(Lambda_h).
+matrix (stiffness + mass) of the immersed space and m the number of
+immersed cells, dim(Lambda_h).
 S has rank at most m, so sigma is the smallest eigenvalue of the m x m
 form W = R N2^{-1} R^T, R = (h2^2 N1)^{-1/2} C2 (Chapelle & Bathe 1993),
 zero when C2 is rank deficient. W is never formed: shift-invert Lanczos
@@ -34,7 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from . import element as el
 from .coupling import assemble_C2
 from .mesh import build_mesh, refine_uniform
 from .runner import element_families
@@ -57,21 +57,19 @@ _SINGULAR_TOL = 1e-7
 _STABLE_RATIO = 0.5
 
 # largest |entry| of the null-space basis Z = [I; -D^-1 C2_q] that route
-# accepts: its rounding error grows with the square (1e-9 relative at 1e3
-# on random pencils), and on the FE pairings no entry exceeds 1
-_GROWTH_MAX = 1e2
+# accepts: its rounding error grows with the square (1e-10 of the top
+# eigenvalue at 76 on a random pencil with n2 = 9, m = 1), and on the FE
+# pairings no entry exceeds 1
+_GROWTH_MAX = 1e1
 
 
-def build_norm_matrices(v2_space, lambda_space):
+def build_norm_matrices(v2_space):
     """N1 (multiplier mass, diagonal cell areas) and N2 (H1 matrix).
 
-    N2 is the stiffness plus the mass matrix of v2_space,
-    ``system.assemble_matrix(v2_space, 1, 1)``: one pass over the cells.
+    N1 has a row per cell of ``v2_space.mesh``. N2 is the stiffness plus
+    the mass matrix of v2_space, ``system.assemble_matrix(v2_space, 1, 1)``:
+    one pass over the cells.
     """
-    if lambda_space.family != el.P0:
-        raise ValueError("lambda_space must be p0")
-    if lambda_space.mesh is not v2_space.mesh:
-        raise ValueError("spaces must share the immersed mesh")
     N1 = sp.diags(v2_space.mesh.cell_areas()).tocsr()
     return N1, assemble_matrix(v2_space, 1.0, 1.0)
 
@@ -225,15 +223,14 @@ def infsup_sweep(element, spec, levels):
         if lvl > 0:
             t2 = refine_uniform(t2)
         v2 = build_space(t2, fam)
-        lh = build_space(t2, el.P0)
-        C2 = assemble_C2(lh, v2)
-        N1, N2 = build_norm_matrices(v2, lh)
+        C2 = assemble_C2(v2)
+        N1, N2 = build_norm_matrices(v2)
         report.stats.append({})
         sigma, gamma = infsup_constant(C2, N1, N2, t2.h, report.stats[-1])
         report.levels.append(lvl)
         report.h2.append(t2.h)
         report.dim_V2h.append(v2.ndofs)
-        report.dim_Lh.append(lh.ndofs)
+        report.dim_Lh.append(t2.num_cells)
         report.sigma_min.append(sigma)
         report.gamma_est.append(gamma)
     return report

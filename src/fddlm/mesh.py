@@ -247,17 +247,9 @@ def _build_radial(spec):
     pts = _disk_blocks(c[0], c[1], r, n).reshape(-1, 2)
     # merge block nodes by rounded coordinates, numbered by first appearance
     keys = np.rint(pts / (1e-9 * r)).astype(np.int64)
-    # group equal keys: the stable lexsort puts each group's first
-    # appearance first
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    k = keys[order]
-    new = np.concatenate([[True], np.any(k[1:] != k[:-1], axis=1)])
-    first = order[new]
-    inv = np.empty_like(order)
-    inv[order] = np.cumsum(new) - 1
-    rank = np.empty_like(first)
-    rank[np.argsort(first)] = np.arange(first.size)
-    ids = rank[inv].reshape(5, n + 1, n + 1)
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    # ravel: numpy 2.0.0 returns a 2-D inverse for axis=0
+    ids = np.argsort(np.argsort(first))[inv.ravel()].reshape(5, n + 1, n + 1)
     nodes = pts[np.sort(first)]
     # cell (i, j) of a block joins grid nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     cells = np.stack(

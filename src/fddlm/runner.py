@@ -152,9 +152,8 @@ def solve_level(t, t2, element, beta, beta2, g=None):
     fam_h, fam_2 = element_families(element)
     vh = build_space(t, fam_h)
     v2 = build_space(t2, fam_2)
-    lh = build_space(t2, el.P0)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh)
-    C2 = assemble_C2(lh, v2)
+    C1 = assemble_C1(build_intersections(t2, t), vh)
+    C2 = assemble_C2(v2)
     A1 = assemble_A1(vh, beta)
     A2 = assemble_A2(v2, beta, beta2)
     F1, F2 = assemble_rhs(vh, v2)
@@ -166,7 +165,7 @@ def solve_level(t, t2, element, beta, beta2, g=None):
         vh=vh,
         v2=v2,
         sol=sol,
-        dims={"n": vh.ndofs, "n2": v2.ndofs, "m": lh.ndofs},
+        dims={"n": vh.ndofs, "n2": v2.ndofs, "m": t2.num_cells},
         lambda_mass=float(np.sum(sol.lam * t2.cell_areas())),
     )
 

@@ -75,8 +75,8 @@ def build_space(mesh, fam):
 
 
 def dirichlet_dofs(space):
-    """Sorted dofs of the boundary vertices and boundary edges. Cell dofs
-    are interior, so a p0 space has none."""
+    """Sorted dofs of the boundary vertices and boundary edges; cell dofs
+    are interior."""
     m = space.mesh
     on = (
         np.isin(m.cells, m.boundary_nodes),

@@ -17,7 +17,7 @@ import pytest
 import scipy.linalg as sla
 
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
-from fddlm.element import P0, Q1, Q1B, basis_matrix, gauss_square
+from fddlm.element import Q1, Q1B, basis_matrix, gauss_square
 from fddlm.infsup import build_norm_matrices, infsup_constant, infsup_sweep
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.runner import run_study
@@ -78,15 +78,14 @@ def toy_problem():
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0.5, 1.5, 0.5, 1.5), base_cells=2))
     vh = build_space(t, Q1)
     v2 = build_space(t2, Q1B)
-    lh = build_space(t2, P0)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh)
-    C2 = assemble_C2(lh, v2)
+    C1 = assemble_C1(build_intersections(t2, t), vh)
+    C2 = assemble_C2(v2)
     F1, F2 = assemble_rhs(vh, v2, 1.0, 1.0)
     system = BlockSystem(assemble_A1(vh, 1.0), assemble_A2(v2, 1.0, 10.0), C1, C2, F1, F2)
     bc = dirichlet_bc(vh)
     sol = solve_saddle(system, bc)
     _collect(SimpleNamespace(residuals=[sol.residual], constraint_res=[sol.constraint_res]))
-    return system, bc, sol, (v2, lh, C2, t2.h)
+    return system, bc, sol, (v2, C2, t2.h)
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +154,7 @@ def test_criterion_4_coupling_exactness():
     t = build_mesh(DomainSpec("rectangle", bounds=(0.5, 1.5, 0.5, 1.5), base_cells=1))
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0.5, 1.0, 0.5, 1.0), base_cells=1))
     vh = build_space(t, Q1)
-    C1 = assemble_C1(build_intersections(t2, t), build_space(t2, P0), vh)
+    C1 = assemble_C1(build_intersections(t2, t), vh)
     j = int(np.where((vh.dof_coords == [0.5, 0.5]).all(axis=1))[0][0])
     entry = C1.toarray()[0, j]
     corner_err = abs(entry - 0.140625)
@@ -170,8 +169,7 @@ def test_criterion_4_coupling_exactness():
         im = build_mesh(
             DomainSpec("square_patch", bounds=(0.7, 1.3, 0.7, 1.3), base_cells=2), 1
         )
-        lh = build_space(im, P0)
-        C = assemble_C1(build_intersections(im, bg), lh, build_space(bg, Q1))
+        C = assemble_C1(build_intersections(im, bg), build_space(bg, Q1))
         sums = np.asarray(C.sum(axis=1)).ravel()
         areas = im.cell_areas()
         worst = max(worst, float(np.abs(sums / areas - 1.0).max()))
@@ -215,7 +213,7 @@ def test_criterion_6_residuals_of_every_solve(everything):
 
 
 def test_criterion_7_brute_force_equivalence(toy_problem):
-    system, bc, sol, (v2, lh, C2, h2) = toy_problem
+    system, bc, sol, (v2, C2, h2) = toy_problem
     elim = apply_dirichlet(system, bc)
     K = full_matrix(elim).toarray()
     b = np.concatenate([elim.F1, elim.F2, elim.G])
@@ -223,14 +221,14 @@ def test_criterion_7_brute_force_equivalence(toy_problem):
     x = np.concatenate([sol.u, sol.u2, sol.lam])
     rel = float(np.linalg.norm(x - x_dense) / np.linalg.norm(x_dense))
 
-    N1, N2 = build_norm_matrices(v2, lh)
+    N1, N2 = build_norm_matrices(v2)
     _, gamma = infsup_constant(C2, N1, N2, h2)
     # oracle: full generalized spectrum of the dense pencil, m-th largest
     dinv = 1.0 / (h2 * h2 * N1.diagonal())
     C2d = C2.toarray()
     S = C2d.T @ (dinv[:, None] * C2d)
     w = sla.eigh(0.5 * (S + S.T), N2.toarray(), eigvals_only=True)
-    gamma_oracle = float(np.sqrt(w[v2.ndofs - lh.ndofs]))
+    gamma_oracle = float(np.sqrt(w[v2.ndofs - v2.mesh.num_cells]))
     grel = abs(gamma - gamma_oracle) / gamma_oracle
     ok = rel <= 1e-11 and grel <= 1e-8
     assert _line(

@@ -14,7 +14,7 @@ from fddlm.coupling import (
     assemble_C2,
     build_intersections,
 )
-from fddlm.element import P0, Q1, Q1B, Q2, basis_matrix
+from fddlm.element import Q1, Q1B, Q2, basis_matrix
 from fddlm.mesh import DomainSpec, QuadMesh, build_mesh
 from fddlm.runner import build_mesh_sequence
 from fddlm.space import build_space
@@ -81,15 +81,14 @@ def test_table_matches_per_pair_clipping(example, ratio):
             ]
         )
         assert np.abs(table.moments - ref).max() <= 1e-13 * np.abs(ref).max()
-        lh = build_space(t2, P0)
         for fam in (Q1, Q2):
             vh = build_space(t, fam)
             vals = [wts @ basis_matrix(fam, xi) for (_, _, _, wts), xi in zip(frags, xis)]
             oracle = sp.coo_matrix(
                 (np.ravel(vals), (np.repeat(cell, fam.ndofs), vh.dof_map[bg_cell].ravel())),
-                shape=(lh.ndofs, vh.ndofs),
+                shape=(t2.num_cells, vh.ndofs),
             ).tocsr()
-            C1 = assemble_C1(table, lh, vh)
+            C1 = assemble_C1(table, vh)
             assert abs(C1 - oracle).max() <= 1e-13 * abs(oracle).max()
 
 
@@ -100,13 +99,12 @@ def test_c1_matches_per_fragment_newton_oracle(fam):
     # weights, one fragment at a time
     t = build_mesh(DomainSpec("rectangle", bounds=(-1.3, 1.4, -1.35, 1.3), base_cells=8), 1)
     t2 = build_mesh(DomainSpec("flower", base_cells=3), 1)
-    lh = build_space(t2, P0)
     vh = build_space(t, fam)
-    oracle = np.zeros((lh.ndofs, vh.ndofs))
+    oracle = np.zeros((t2.num_cells, vh.ndofs))
     for i, c, pts, wts in per_pair_fragments(t2, t):
         refs = cell_map_inverse(t.nodes[t.cells[c]], pts)
         oracle[i, vh.dof_map[c]] += wts @ basis_matrix(fam, refs)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh).toarray()
+    C1 = assemble_C1(build_intersections(t2, t), vh).toarray()
     assert np.abs(C1 - oracle).max() <= 1e-13 * np.abs(oracle).max()
 
 
@@ -207,8 +205,7 @@ def test_c1_single_cell_oracle():
     t = patch(0.5, 1.5, 0.5, 1.5)
     t2 = patch(0.5, 1.0, 0.5, 1.0)
     vh = build_space(t, Q1)
-    lh = build_space(t2, P0)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh).toarray()
+    C1 = assemble_C1(build_intersections(t2, t), vh).toarray()
     j = int(np.argmin(np.linalg.norm(t.nodes - [0.5, 0.5], axis=1)))
     assert C1[0, j] == pytest.approx(0.140625, abs=1e-13)
     assert C1[0].sum() == pytest.approx(0.25, rel=1e-13)  # |K_i|
@@ -220,8 +217,7 @@ def test_c1_interior_node_entry():
     t = patch(-0.5, 1.5, -0.5, 1.5, n=2)
     t2 = patch(0.0, 1.0, 0.0, 1.0)
     vh = build_space(t, Q1)
-    lh = build_space(t2, P0)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh).toarray()
+    C1 = assemble_C1(build_intersections(t2, t), vh).toarray()
     j = int(np.argmin(np.linalg.norm(t.nodes - [0.5, 0.5], axis=1)))
     assert C1[0, j] == pytest.approx(0.5625, abs=1e-13)
     assert C1[0].sum() == pytest.approx(1.0, rel=1e-13)
@@ -233,8 +229,7 @@ def test_c1_q2_center_dof_oracle():
     t = patch(0, 2, 0, 2)
     t2 = patch(0, 1, 0, 1)
     vh = build_space(t, Q2)
-    lh = build_space(t2, P0)
-    C1 = assemble_C1(build_intersections(t2, t), lh, vh).toarray()
+    C1 = assemble_C1(build_intersections(t2, t), vh).toarray()
     center_dof = vh.dof_map[0, 8]
     assert C1[0, center_dof] == pytest.approx(4.0 / 9.0, abs=1e-13)
     assert C1[0].sum() == pytest.approx(1.0, rel=1e-13)
@@ -245,20 +240,19 @@ def test_c1_row_sums_are_cell_areas():
     t2 = build_mesh(DomainSpec("disk", base_cells=2), 1)
     table = build_intersections(t2, t)
     for vh in (build_space(t, Q1), build_space(t, Q2)):
-        C1 = assemble_C1(table, build_space(t2, P0), vh)
+        C1 = assemble_C1(table, vh)
         sums = np.asarray(C1.sum(axis=1)).ravel()
         assert sums == pytest.approx(t2.cell_areas(), rel=1e-12)
 
 
 def test_c2_unit_cell_oracles():
     t2 = patch(0, 1, 0, 1)
-    lh = build_space(t2, P0)
-    c2_q1 = assemble_C2(lh, build_space(t2, Q1)).toarray()
+    c2_q1 = assemble_C2(build_space(t2, Q1)).toarray()
     assert c2_q1 == pytest.approx(np.full((1, 4), 0.25), abs=1e-14)
-    c2_bub = assemble_C2(lh, build_space(t2, Q1B)).toarray()
+    c2_bub = assemble_C2(build_space(t2, Q1B)).toarray()
     assert c2_bub[0, :4] == pytest.approx(np.full(4, 0.25), abs=1e-14)
     assert c2_bub[0, 4] == pytest.approx(4.0 / 9.0, abs=1e-14)
-    c2_q2 = assemble_C2(lh, build_space(t2, Q2)).toarray()[0]
+    c2_q2 = assemble_C2(build_space(t2, Q2)).toarray()[0]
     v2 = build_space(t2, Q2)
     corner = v2.dof_map[0, :4]
     edge = v2.dof_map[0, 4:8]
@@ -270,9 +264,8 @@ def test_c2_unit_cell_oracles():
 
 def test_c2_row_sums_on_curved_mesh():
     t2 = build_mesh(DomainSpec("flower", base_cells=4), 1)
-    lh = build_space(t2, P0)
     for fam in (Q1, Q2):
-        C2 = assemble_C2(lh, build_space(t2, fam))
+        C2 = assemble_C2(build_space(t2, fam))
         sums = np.asarray(C2.sum(axis=1)).ravel()
         assert sums == pytest.approx(t2.cell_areas(), rel=1e-12)
 
@@ -282,25 +275,18 @@ def test_aligned_meshes_give_identical_pairings():
     t2 = patch(0, 1, 0, 1, n=2)
     vh = build_space(t, Q1)
     v2 = build_space(t2, Q1)
-    lh = build_space(t2, P0)
     table = build_intersections(t2, t)
     # every cell clips to exactly itself; edge-sharing neighbours yield
     # sliver-suppressed empty intersections
     assert table.cell.tolist() == [0, 1, 2, 3]
     assert table.bg_cell.tolist() == [0, 1, 2, 3]
-    C1 = assemble_C1(table, lh, vh).toarray()
-    C2 = assemble_C2(lh, v2).toarray()
+    C1 = assemble_C1(table, vh).toarray()
+    C2 = assemble_C2(v2).toarray()
     assert C1 == pytest.approx(C2, abs=1e-14)
 
 
 def test_validation_errors():
-    t = patch(0, 2, 0, 2, n=2)
-    t2 = patch(0.5, 1.5, 0.5, 1.5)
-    table = build_intersections(t2, t)
-    vh = build_space(t, Q1)
-    with pytest.raises(ValueError, match="p0"):
-        assemble_C1(table, build_space(t2, Q1), vh)
+    # C1 needs the background space of the mesh the table was built on
+    table = build_intersections(patch(0.5, 1.5, 0.5, 1.5), patch(0, 2, 0, 2, n=2))
     with pytest.raises(ValueError, match="match"):
-        assemble_C1(table, build_space(patch(0.5, 1.5, 0.5, 1.5), P0), vh)
-    with pytest.raises(ValueError, match="share a mesh"):
-        assemble_C2(build_space(t2, P0), build_space(t, Q1))
+        assemble_C1(table, build_space(patch(0, 2, 0, 2, n=2), Q1))

@@ -7,7 +7,6 @@ import pytest
 
 from fddlm.element import (
     _1D,
-    P0,
     Q1,
     Q1B,
     Q2,
@@ -32,8 +31,8 @@ Q2_NODES = np.array(
 
 
 def test_family_dof_counts():
-    assert (Q1.ndofs, Q2.ndofs, Q1B.ndofs, P0.ndofs) == (4, 9, 5, 1)
-    assert [f.tag for f in (Q1, Q2, Q1B, P0)] == ["q1", "q2", "q1b", "p0"]
+    assert (Q1.ndofs, Q2.ndofs, Q1B.ndofs) == (4, 9, 5)
+    assert [f.tag for f in (Q1, Q2, Q1B)] == ["q1", "q2", "q1b"]
 
 
 def test_nodal_basis_is_kronecker():
@@ -50,8 +49,8 @@ _ENTITY_NODES = {
 
 @pytest.mark.parametrize(
     "fam, counts",
-    [(Q1, (4, 0, 0)), (Q1B, (4, 0, 1)), (Q2, (4, 4, 1)), (P0, (0, 0, 1))],
-    ids=["q1", "q1b", "q2", "p0"],
+    [(Q1, (4, 0, 0)), (Q1B, (4, 0, 1)), (Q2, (4, 4, 1))],
+    ids=["q1", "q1b", "q2"],
 )
 def test_family_table_entities(fam, counts):
     # each function's reference node, read off its two 1-D factors, is
@@ -74,9 +73,6 @@ def test_family_table_entities(fam, counts):
 def _closed_form(fam, pts):
     """The basis and its gradient written out per family."""
     x, y = pts[:, 0], pts[:, 1]
-    k = len(pts)
-    if fam == P0:
-        return np.ones((k, 1)), np.zeros((k, 1, 2))
     if fam == Q2:
         lx = [2.0 * x * x - 3.0 * x + 1.0, 4.0 * x * (1.0 - x), x * (2.0 * x - 1.0)]
         ly = [2.0 * y * y - 3.0 * y + 1.0, 4.0 * y * (1.0 - y), y * (2.0 * y - 1.0)]
@@ -100,14 +96,14 @@ def _closed_form(fam, pts):
 
 def test_basis_matches_closed_form_bitwise():
     # the Newton of the point location and the transfer's picks depend on
-    # q1 staying bitwise; q2 and p0 are held to the same, the q1b bubble
+    # q1 staying bitwise; q2 is held to the same, the q1b bubble
     # (a product of two 1-D factors) to 4 ulp
     rng = np.random.default_rng(7)
     pts = np.vstack(
         [rng.uniform(0, 1, (300, 2)), rng.uniform(-0.5, 1.5, (300, 2)),
          gauss_square(3).points, gauss_square(5).points]
     )
-    for fam in (Q1, Q2, P0, Q1B):
+    for fam in (Q1, Q2, Q1B):
         vals, grads = basis_matrix(fam, pts), grad_matrix(fam, pts)
         assert vals.flags.c_contiguous and grads.flags.c_contiguous
         v_ref, g_ref = _closed_form(fam, pts)

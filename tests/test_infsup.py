@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import fddlm.infsup as infsup_module
 from fddlm import problems
 from fddlm.coupling import assemble_C2
-from fddlm.element import P0, Q1, Q1B, Q2, gauss_square
+from fddlm.element import Q1, Q1B, Q2, gauss_square
 from fddlm.infsup import (
     _GROWTH_MAX,
     _SINGULAR_TOL,
@@ -33,9 +33,8 @@ def small_setup(fam=Q1B, level=0, kind="disk", base=1):
 def spec_setup(fam, spec, level):
     t2 = build_mesh(spec, level)
     v2 = build_space(t2, fam)
-    lh = build_space(t2, P0)
-    C2 = assemble_C2(lh, v2)
-    N1, N2 = build_norm_matrices(v2, lh)
+    C2 = assemble_C2(v2)
+    N1, N2 = build_norm_matrices(v2)
     return C2, N1, N2, t2.h
 
 
@@ -87,8 +86,7 @@ def _infsup_constant_svd(C2, N1, N2, h2):
 def test_norm_matrices():
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0, 1, 0, 1), base_cells=2))
     v2 = build_space(t2, Q1)
-    lh = build_space(t2, P0)
-    N1, N2 = build_norm_matrices(v2, lh)
+    N1, N2 = build_norm_matrices(v2)
     assert N1.diagonal() == pytest.approx(t2.cell_areas(), rel=1e-14)
     N2d = N2.toarray()
     assert np.abs(N2d - N2d.T).max() < 1e-14
@@ -102,7 +100,7 @@ def test_norm_matrix_is_stiffness_plus_mass(fam, kind):
     # matrix, the case-3 A2) against the einsum oracle at the same rule
     t2 = build_mesh(DomainSpec(kind, base_cells=2), 1)
     v2 = build_space(t2, fam)
-    _, N2 = build_norm_matrices(v2, build_space(t2, P0))
+    _, N2 = build_norm_matrices(v2)
     assert N2.format == "csr" and N2.has_canonical_format
     assert N2.indices.dtype == np.int32 and N2.indptr.dtype == np.int32
     for stiff, mass in ((1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (-9.0, 0.0)):
@@ -119,9 +117,8 @@ def test_single_multiplier_closed_form():
     # sigma = C2 N2^{-1} C2^T / (h2^2 |K|)
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0, 1, 0, 1), base_cells=1))
     v2 = build_space(t2, Q1)
-    lh = build_space(t2, P0)
-    C2 = assemble_C2(lh, v2)
-    N1, N2 = build_norm_matrices(v2, lh)
+    C2 = assemble_C2(v2)
+    N1, N2 = build_norm_matrices(v2)
     c = C2.toarray().ravel()
     sigma_ref = float(c @ np.linalg.solve(N2.toarray(), c)) / (t2.h**2 * 1.0)
     sigma, gamma = infsup_constant(C2, N1, N2, t2.h)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from fddlm.element import P0, Q1, Q1B, Q2
+from fddlm.element import Q1, Q1B, Q2
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.space import (
     DirichletBC,
@@ -23,8 +23,7 @@ def test_dof_counts_on_2x2():
     assert build_space(m, Q1).ndofs == 9
     assert build_space(m, Q1B).ndofs == 13
     assert build_space(m, Q2).ndofs == 25  # 9 nodes + 12 edges + 4 cells
-    assert build_space(m, P0).ndofs == 4
-    for fam in (Q1, Q1B, Q2, P0):
+    for fam in (Q1, Q1B, Q2):
         s = build_space(m, fam)
         assert s.dof_map.shape == (4, fam.ndofs)
         assert s.dof_map.min() >= 0 and s.dof_map.max() < s.ndofs
@@ -60,14 +59,11 @@ def test_q2_reproduces_quadratics_on_curved_cells():
     assert grads == pytest.approx(exact, abs=1e-10)
 
 
-def test_interpolate_bubble_and_p0():
+def test_interpolate_bubble():
     m = build_mesh(UNIT2)
     sb = build_space(m, Q1B)
     c = interpolate(sb, lambda x, y: x + y)
     assert np.all(c[m.num_nodes:] == 0.0)  # bubbles carry no nodal value
-    sp = build_space(m, P0)
-    cp = interpolate(sp, lambda x, y: x + y)
-    assert cp == pytest.approx(sp.dof_coords.sum(axis=1), abs=1e-14)
 
 
 _LEVEL2_DOMAINS = {
@@ -78,7 +74,7 @@ _LEVEL2_DOMAINS = {
 }
 
 
-@pytest.mark.parametrize("fam", [Q1, Q1B, Q2, P0], ids=["q1", "q1b", "q2", "p0"])
+@pytest.mark.parametrize("fam", [Q1, Q1B, Q2], ids=["q1", "q1b", "q2"])
 @pytest.mark.parametrize("domain", list(_LEVEL2_DOMAINS))
 def test_dof_layout_matches_explicit_oracle(domain, fam):
     # the layout written out per family: vertex dofs are the node ids,
@@ -95,7 +91,6 @@ def test_dof_layout_matches_explicit_oracle(domain, fam):
             nn + ne + mc,
             np.sort(np.concatenate([m.boundary_nodes, bnd_edges])),
         ),
-        P0: (cells, mc, np.zeros(0, dtype=np.int64)),
     }[fam]
     s = build_space(m, fam)
     assert np.array_equal(s.dof_map, dof_map)
@@ -108,7 +103,7 @@ def test_cell_dofs_sit_at_vertex_means():
     # bilinear image of the reference centre) is not the area centroid
     m = build_mesh(DomainSpec("flower", base_cells=2), 1)
     means = m.nodes[m.cells].mean(axis=1)
-    for fam in (Q1B, Q2, P0):
+    for fam in (Q1B, Q2):
         s = build_space(m, fam)
         assert np.array_equal(s.dof_coords[s.ndofs - m.num_cells:], means)
 
@@ -120,10 +115,6 @@ def test_dirichlet_dofs_by_family():
     q2d = dirichlet_dofs(build_space(m, Q2))
     assert q2d.size == 16  # 8 boundary nodes + 8 boundary edges
     assert np.all(np.diff(q2d) > 0)
-    # p0 dofs live on cells, none on the boundary
-    sp = build_space(m, P0)
-    assert dirichlet_dofs(sp).size == 0
-    assert dirichlet_bc(sp, lambda x, y: x + y).dofs.size == 0
 
 
 def test_dirichlet_bc_values():

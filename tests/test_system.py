@@ -13,7 +13,7 @@ from scipy.integrate import dblquad
 import fddlm.system as system_module
 from fddlm import problems
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
-from fddlm.element import P0, Q1, Q2, gauss_square, grad_matrix
+from fddlm.element import Q1, Q2, gauss_square, grad_matrix
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.runner import ELEMENTS, FEFieldRef, solve_level, study_meshes
 from fddlm.space import build_space, dirichlet_bc
@@ -72,16 +72,15 @@ def coupled_system(t, t2, element, beta, beta2, f=1.0, f2=1.0):
     fam_h, fam_2 = ELEMENTS[element]
     vh = build_space(t, fam_h)
     v2 = build_space(t2, fam_2)
-    lh = build_space(t2, P0)
     table = build_intersections(t2, t)
     sysm = BlockSystem(
         assemble_A1(vh, beta),
         assemble_A2(v2, beta, beta2),
-        assemble_C1(table, lh, vh),
-        assemble_C2(lh, v2),
+        assemble_C1(table, vh),
+        assemble_C2(v2),
         *assemble_rhs(vh, v2, f, f2),
     )
-    return sysm, vh, v2, lh
+    return sysm, vh, v2
 
 
 def test_q1_unit_stiffness_matrix():
@@ -154,7 +153,7 @@ def test_a2_scaling_and_kernel():
 
 
 def test_rhs_difference_form():
-    sysm, vh, v2, _ = toy_system(f=1.0, f2=1.0)
+    sysm, vh, v2 = toy_system(f=1.0, f2=1.0)
     assert np.all(sysm.F2 == 0.0)
     F1a, F2a = assemble_rhs(vh, v2, 1.0, 3.0)
     F1b, F2b = assemble_rhs(vh, v2, 0.0, 0.0)
@@ -163,7 +162,7 @@ def test_rhs_difference_form():
 
 
 def test_full_matrix_symmetry():
-    sysm, vh, _, _ = toy_system()
+    sysm, vh, _ = toy_system()
     K = full_matrix(sysm)
     assert np.abs((K - K.T).toarray()).max() < 1e-13
     elim = apply_dirichlet(sysm, dirichlet_bc(vh))
@@ -172,7 +171,7 @@ def test_full_matrix_symmetry():
 
 
 def test_dirichlet_rows_and_values():
-    sysm, vh, _, _ = toy_system()
+    sysm, vh, _ = toy_system()
     g = lambda x, y: x - y
     bc = dirichlet_bc(vh, g)
     elim = apply_dirichlet(sysm, bc)
@@ -187,7 +186,7 @@ def test_dirichlet_rows_and_values():
 
 
 def test_zero_rhs_gives_zero_solution():
-    sysm, vh, _, _ = toy_system(f=0.0, f2=0.0)
+    sysm, vh, _ = toy_system(f=0.0, f2=0.0)
     sol = solve_saddle(sysm, dirichlet_bc(vh))
     assert np.abs(sol.u).max() < 1e-12
     assert np.abs(sol.u2).max() < 1e-12
@@ -198,7 +197,7 @@ def test_solver_matches_dense_brute_force():
     # every toy cell owns a private dof (elm1: its bubble, q1q1p0: its patch
     # corner), so both systems are solved through the condensed route
     for element in ("elm1", "q1q1p0"):
-        sysm, vh, _, _ = toy_system(element)
+        sysm, vh, _ = toy_system(element)
         elim = apply_dirichlet(sysm, dirichlet_bc(vh))
         sol = solve_saddle(elim)
         assert sol.stats["eliminated"] == 2 * elim.m
@@ -212,8 +211,8 @@ def test_solver_matches_dense_brute_force():
 
 
 def test_scaling_equivariance():
-    base, vh, _, _ = toy_system(f=1.0, f2=2.0)
-    scaled, _, _, _ = toy_system(f=3.0, f2=6.0)
+    base, vh, _ = toy_system(f=1.0, f2=2.0)
+    scaled, _, _ = toy_system(f=3.0, f2=6.0)
     bc = dirichlet_bc(vh)
     s1 = solve_saddle(base, bc)
     s3 = solve_saddle(scaled, bc)
@@ -222,7 +221,7 @@ def test_scaling_equivariance():
 
 
 def test_energy_identity():
-    sysm, vh, _, _ = toy_system(beta=1.0, beta2=10.0)
+    sysm, vh, _ = toy_system(beta=1.0, beta2=10.0)
     elim = apply_dirichlet(sysm, dirichlet_bc(vh))
     sol = solve_saddle(elim)
     lhs = sol.u @ (elim.A1 @ sol.u) + sol.u2 @ (elim.A2 @ sol.u2)
@@ -239,13 +238,12 @@ def test_matching_meshes_decouple_in_the_equal_coefficient_limit():
     t2 = build_mesh(DomainSpec("square_patch", bounds=(0.5, 1.5, 0.5, 1.5), base_cells=2))
     vh = build_space(t, Q1)
     v2 = build_space(t2, Q1)
-    lh = build_space(t2, P0)
     table = build_intersections(t2, t)
     sysm = BlockSystem(
         assemble_A1(vh, 1.0),
         assemble_A2(v2, 1.0, 1.0 + delta),
-        assemble_C1(table, lh, vh),
-        assemble_C2(lh, v2),
+        assemble_C1(table, vh),
+        assemble_C2(v2),
         *assemble_rhs(vh, v2, 1.0, 1.0),
     )
     bc = dirichlet_bc(vh)
@@ -270,7 +268,7 @@ def test_equal_coefficients_raise_before_factoring(element, route, monkeypatch):
     # beta2 = beta makes A2 vanish, and K has the kernel (0, ker C2, 0)
     if route == "full":
         monkeypatch.setattr(system_module, "interior_columns", lambda C2: None)
-    sysm, vh, _, _ = toy_system(element, beta=1.0, beta2=1.0)
+    sysm, vh, _ = toy_system(element, beta=1.0, beta2=1.0)
     with pytest.raises(SolverError, match="beta2 = beta"):
         solve_saddle(sysm, dirichlet_bc(vh))
 
@@ -288,7 +286,7 @@ def test_interior_columns_are_the_cell_centre_dofs(element):
     meshes = [toy] + [benchmark_meshes(ex, lvl)[1] for ex in (3, 4) for lvl in (0, 1, 2)]
     for t2 in meshes:
         v2 = build_space(t2, ELEMENTS[element][1])
-        got = interior_columns(assemble_C2(build_space(t2, P0), v2))
+        got = interior_columns(assemble_C2(v2))
         # on the toy patch each cell also owns a corner node; the highest
         # private column wins
         assert np.array_equal(got, v2.dof_map[:, -1])
@@ -297,14 +295,14 @@ def test_interior_columns_are_the_cell_centre_dofs(element):
 def test_q1q1p0_routes():
     # on the 2x2 toy patch each corner node is private to its cell and is
     # eliminated; on the disk no cell owns one, so K itself is factored
-    _, _, v2, lh = toy_system("q1q1p0")
-    got = interior_columns(assemble_C2(lh, v2))
+    _, _, v2 = toy_system("q1q1p0")
+    got = interior_columns(assemble_C2(v2))
     corners = np.flatnonzero(np.bincount(v2.dof_map.ravel()) == 1)
     assert np.array_equal(np.sort(got), corners)
     assert all(got[c] in v2.dof_map[c] for c in range(4))
     for lvl in (0, 1, 2):
         t2 = benchmark_meshes(3, lvl)[1]
-        assert interior_columns(assemble_C2(build_space(t2, P0), build_space(t2, Q1))) is None
+        assert interior_columns(assemble_C2(build_space(t2, Q1))) is None
     stats = solve_level(*benchmark_meshes(3, 0), "q1q1p0", 1.0, 10.0).sol.stats
     assert stats["eliminated"] == 0 and stats["factored"] == stats["unknowns"]
 
@@ -318,7 +316,7 @@ def test_condensed_route_matches_full_factorization(example, element, case, monk
     tol = 1e-8 if case == 2 else 1e-10
     for level in (0, 1):
         t, t2 = benchmark_meshes(example, level)
-        sysm, vh, _, _ = coupled_system(t, t2, element, beta, beta2)
+        sysm, vh, _ = coupled_system(t, t2, element, beta, beta2)
         bc = dirichlet_bc(vh, exact["u1"] if exact else None)
         # without the refinement step the backward error reaches 6e-15 here
         sol = solve_saddle(sysm, bc, rtol=1e-15)
@@ -391,13 +389,13 @@ def test_null_space_solve_matches_dense_saddle(m, nq, seed, definite):
 
 
 def test_residual_tolerance_enforced():
-    sysm, vh, _, _ = toy_system()
+    sysm, vh, _ = toy_system()
     with pytest.raises(SolverError, match="residual"):
         solve_saddle(sysm, dirichlet_bc(vh), rtol=1e-30)
 
 
 def test_block_system_validation():
-    sysm, _, _, _ = toy_system()
+    sysm, _, _ = toy_system()
     with pytest.raises(ValueError, match="rows"):
         BlockSystem(sysm.A1, sysm.A2, sysm.C1, sysm.C2[:2], sysm.F1, sysm.F2)
 
