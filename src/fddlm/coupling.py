@@ -10,7 +10,8 @@ box, and in its own reference coordinates each of them is the unit
 square. Each (immersed, background) candidate pair gets the monomial
 moments of bidegree <= 2 over the immersed cell's part of that square by
 Green's theorem on the immersed cell's own four edges
-(``geometry.square_moments``), all pairs in one batched call; the pieces
+(``geometry.square_moments``), batched over fixed blocks of pairs so
+that the kernel's temporaries stay bounded at any level; the pieces
 themselves are never built. A piece whose area, the moment M00, is below
 ``SLIVER_RTOL`` of its immersed cell's area is empty or a sliver of a
 cell that touches a grid line, and is dropped. The Q1, Q1+bubble and Q2
@@ -46,6 +47,10 @@ SLIVER_RTOL = 1e-12
 # uniform only up to rounding, and bounding boxes are padded by the same
 # amount so that a cell touched within rounding is still a candidate
 _GRID_RTOL = 1e-9
+# candidate pairs per call of square_moments: its edge, piece and Gauss
+# point temporaries take about 1.5 kB a pair, so one call on all pairs of
+# a 64^2 level (12-13 k) peaks near 19 MB, which the heap keeps resident
+_BLOCK_ROWS = 2048
 
 
 class CoverageError(RuntimeError):
@@ -102,7 +107,7 @@ def _grid(t):
 
 
 def build_intersections(t2, t):
-    """Moments of every immersed cell's pieces in the background grid, in one pass.
+    """Moments of every immersed cell's pieces in the background grid.
 
     The candidates of an immersed cell are the background cells of its
     padded index box. All (immersed, background) candidate pairs, ordered
@@ -110,7 +115,10 @@ def build_intersections(t2, t):
     cell into the reference coordinates
     (xi, eta) = (x - lower left) / extent of their background cell, where
     ``square_moments`` integrates xi^p eta^q, p, q <= 2, over its part of
-    the unit square; the moments are scaled back to physical area. A
+    the unit square; the moments are scaled back to physical area. The
+    pairs go through the kernel in blocks of ``_BLOCK_ROWS`` rows into one
+    preallocated array; the kernel treats each row on its own, so the
+    result equals that of a single call bit for bit. A
     piece whose area M00 is below ``SLIVER_RTOL`` times the area of its
     immersed cell is empty or a sliver, and is dropped.
 
@@ -146,10 +154,13 @@ def build_intersections(t2, t):
     bg_cell = index[row, col]
     order = np.lexsort((bg_cell, cell))
     cell, bg_cell = cell[order], bg_cell[order]
-    quads = t.nodes[t.cells[bg_cell]]
-    lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
-    ref = (polys[cell] - lo[:, None]) / ext[:, None]
-    moments = square_moments(ref) * ext.prod(axis=1)[:, None, None]
+    moments = np.empty((cell.size, 3, 3))
+    for s in range(0, cell.size, _BLOCK_ROWS):
+        block = slice(s, s + _BLOCK_ROWS)
+        quads = t.nodes[t.cells[bg_cell[block]]]
+        lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
+        ref = (polys[cell[block]] - lo[:, None]) / ext[:, None]
+        moments[block] = square_moments(ref) * ext.prod(axis=1)[:, None, None]
     target = np.abs(t2.cell_areas())
     solid = moments[:, 0, 0] >= SLIVER_RTOL * target[cell]
     cell, bg_cell, moments = cell[solid], bg_cell[solid], moments[solid]

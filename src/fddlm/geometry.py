@@ -46,9 +46,12 @@ def square_moments(polys):
     P, n = a.shape[:2]
     d = np.roll(a, -1, axis=1) - a
     # edge parameters where xi (axis 0) and eta (axis 1) reach 0 and 1; an
-    # edge parallel to an axis gets 0 for both, so it never crosses its lines
-    at0 = np.divide(-a, d, out=np.zeros_like(a), where=d != 0)
-    at1 = np.divide(1.0 - a, d, out=np.zeros_like(a), where=d != 0)
+    # edge parallel to an axis gets 0 for both, so it never crosses its lines.
+    # A subnormal step can overflow to +-inf: a crossing far beyond the
+    # edge's ends, which the clamps below treat as such
+    with np.errstate(over="ignore"):
+        at0 = np.divide(-a, d, out=np.zeros_like(a), where=d != 0)
+        at1 = np.divide(1.0 - a, d, out=np.zeros_like(a), where=d != 0)
     enter, leave = np.minimum(at0, at1), np.maximum(at0, at1)
     # the part of each edge in the strip 0 <= eta <= 1, cut where xi
     # crosses 0 and 1 into three pieces

@@ -133,20 +133,22 @@ def immersed_base_for_ratio(example, h_background, ratio):
     """Pick the immersed level-0 resolution hitting a target h2/h ratio.
 
     Builds candidate level-0 meshes and returns the base_cells value
-    whose h2 is closest to ratio * h_background. Both meshes refine by
-    halving, so the ratio is level-independent.
+    whose h2 is closest to ratio * h_background (the smallest such value
+    on a tie). h2 decreases strictly with base_cells in every example, so
+    the distance falls to the crossing and rises after it: the search
+    stops at the first candidate farther off than the best one. Both
+    meshes refine by halving, so the ratio is level-independent.
     """
     if ratio <= 0:
         raise ValueError("ratio must be positive")
     kind = EXAMPLES[example]["immersed"][0]
     step = 2 if kind == "lshape" else 1
     target = ratio * h_background
-    best = None
+    best = (math.inf, None)
     for n in range(step, _MAX_BASE + 1, step):
-        h2 = build_mesh(immersed_spec(example, n), 0).h
-        err = abs(h2 - target)
-        if best is None or err < best[0]:
-            best = (err, n)
-        if h2 < 0.5 * target:
+        err = abs(build_mesh(immersed_spec(example, n), 0).h - target)
+        if err > best[0]:
             break
+        if err < best[0]:
+            best = (err, n)
     return best[1]

@@ -225,7 +225,8 @@ class SolutionTriple:
     full K), ``factored`` (rows of the matrix handed to the sparse LU),
     ``eliminated`` (interior dofs plus multipliers solved for exactly, 0
     when K itself is factored) and ``lu_fill`` (entries SuperLU stores for
-    L and U).
+    L and U); and ``constraint_rel``, the constraint residual relative to
+    the scale of its terms (see ``solve_saddle``).
     """
 
     u: np.ndarray
@@ -311,21 +312,31 @@ class NullSpace:
         return x, self.P.T @ f - self.M.T @ v - self.G @ g
 
 
+def _inf_norm(A):
+    """||A||_inf of a sparse matrix. The row sums come from a product with
+    ones, one term at a time in column order; a CSR ``sum(axis=1)`` adds
+    pairwise and can differ in the last bit."""
+    return float(np.max(abs(A) @ np.ones(A.shape[1]))) if A.nnz else 0.0
+
+
 def solve_saddle(system, bc=None, rtol=1e-10):
     """Direct solve of the saddle system.
 
     When every row of C2 owns a column that no other row touches (elm1 and
     elm2: the cell's bubble or centre dof, see ``interior_columns``), only
     Z^T blkdiag(A1, A2) Z of ``NullSpace``, in u and the other u2 dofs, is
-    factored, without pivoting. Otherwise (q1q1p0 on any non-trivial
-    mesh) the full K is factored by a pivoted sparse LU. Either way one
-    step of iterative refinement on the full K follows. The reported
-    residual is the normwise backward error of the full K,
-    ||K x - b|| / (||K||_inf ||x|| + ||b||); exceeding ``rtol`` raises
-    SolverError, as does a failed factorization or a non-finite result.
-    The constraint residual ||C1 u - C2 u2 - G||_inf is also
-    checked (1e-9 absolute). When A2 = (beta2 - beta) * stiffness has no
-    nonzero value and n2 > m, K is singular and SolverError is raised
+    factored, without pivoting; ``NullSpace`` takes blkdiag(A1, A2) and
+    [C1, -C2] straight from the blocks. Otherwise (q1q1p0 on any
+    non-trivial mesh) a CSC copy of the full K is factored by a pivoted
+    sparse LU. Either way the full K, kept in CSR only, serves one step of
+    iterative refinement and the reported residual, the normwise backward
+    error ||K x - b|| / (||K||_inf ||x|| + ||b||); exceeding ``rtol``
+    raises SolverError, as does a failed factorization or a non-finite
+    result. The constraint residual ||C1 u - C2 u2 - G||_inf is also
+    checked (1e-9 absolute), and reported relative to
+    ||C1||_inf ||u||_inf + ||C2||_inf ||u2||_inf + ||G||_inf as
+    ``stats["constraint_rel"]``. When A2 = (beta2 - beta) * stiffness has
+    no nonzero value and n2 > m, K is singular and SolverError is raised
     before factoring.
     """
     if bc is not None:
@@ -335,18 +346,24 @@ def solve_saddle(system, bc=None, rtol=1e-10):
             "A2 = (beta2 - beta) * stiffness is zero: with beta2 = beta the "
             "saddle matrix is singular"
         )
-    K = full_matrix(system).tocsc()
     b = np.concatenate([system.F1, system.F2, system.G])
     interior = interior_columns(system.C2)
     N = system.n + system.n2
     try:
         if interior is None:
-            fact = spla.splu(K)
+            K = full_matrix(system)
+            fact = spla.splu(K.tocsc())
             solve = fact.solve
         else:
-            # H = blkdiag(A1, A2) and B = [C1, -C2]
-            ns = NullSpace(K[:N, :N], K[N:, :N], interior + system.n)
+            ns = NullSpace(
+                sp.block_diag((system.A1, system.A2), format="csr"),
+                sp.hstack([system.C1, -system.C2], format="csr"),
+                interior + system.n,
+            )
             fact = spla.splu(ns.K, **_UNPIVOTED_LU)
+            # the factorization's workspace is the solve's memory peak; K,
+            # built after it, does not add to that peak
+            K = full_matrix(system)
 
             def solve(rhs):
                 return np.concatenate(ns.solve(fact, rhs[:N], rhs[N:]))
@@ -366,8 +383,7 @@ def solve_saddle(system, bc=None, rtol=1e-10):
         "lu_fill": int(fact.nnz),
     }
     r = b - K @ x
-    knorm = float(np.max(np.abs(K).sum(axis=1))) if K.nnz else 0.0
-    denom = knorm * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
+    denom = _inf_norm(K) * float(np.linalg.norm(x)) + float(np.linalg.norm(b))
     residual = float(np.linalg.norm(r)) / denom if denom > 0 else 0.0
     if not np.isfinite(residual) or residual > rtol:
         raise SolverError(f"relative residual {residual:.3e} exceeds {rtol:.1e}")
@@ -378,6 +394,12 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     cres = float(np.max(np.abs(system.C1 @ u - system.C2 @ u2 - system.G)))
     if cres > 1e-9:
         raise SolverError(f"constraint residual {cres:.3e} exceeds 1e-9")
+    scale = (
+        _inf_norm(system.C1) * float(np.max(np.abs(u)))
+        + _inf_norm(system.C2) * float(np.max(np.abs(u2)))
+        + float(np.max(np.abs(system.G)))
+    )
+    stats["constraint_rel"] = cres / scale if scale > 0 else 0.0
     return SolutionTriple(u, u2, lam, residual, cres, stats)
 
 

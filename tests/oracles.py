@@ -23,6 +23,9 @@ maps a rule's points into every cell by one einsum; the node-by-node sum
 must equal it bit for bit. ``field_errors_reference`` measures a field's
 errors through per-basis physical gradients; it is the oracle of the
 error norms taken from the field's reference gradients.
+``solve_saddle_sliced`` runs the null-space solve on H and B sliced from
+a CSC copy of the full saddle matrix; it is the oracle of the solve that
+builds them from the blocks.
 """
 
 import numpy as np
@@ -32,6 +35,13 @@ import scipy.sparse.linalg as spla
 from fddlm.coupling import SLIVER_RTOL
 from fddlm.element import Q1, QuadratureRule, basis_matrix, cell_geometry, grad_matrix
 from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
+from fddlm.system import (
+    _UNPIVOTED_LU,
+    NullSpace,
+    apply_dirichlet,
+    full_matrix,
+    interior_columns,
+)
 
 # Relative to the bounding-box diagonal of a subject/clipper pair: a vertex
 # this close to a clipping line counts as on it. Cut points carry rounding
@@ -477,3 +487,25 @@ def field_errors_reference(space, coeffs, exact, exact_grad, quad):
     l2 = float(np.einsum("mq,mq->", wdet, (uh - np.asarray(exact(x, y), dtype=float)) ** 2))
     dsq = (guh[:, :, 0] - gex) ** 2 + (guh[:, :, 1] - gey) ** 2
     return l2, float(np.einsum("mq,mq->", wdet, dsq))
+
+
+def solve_saddle_sliced(system, bc):
+    """Null-space solve with H = K[:N, :N] and B = K[N:, :N] sliced from a
+    CSC copy of the full K, one refinement step on that copy.
+
+    Needs a private column per row of C2 (elm1, elm2). Returns the
+    ``NullSpace`` and (u, u2, lam).
+    """
+    system = apply_dirichlet(system, bc)
+    K = full_matrix(system).tocsc()
+    b = np.concatenate([system.F1, system.F2, system.G])
+    n, N = system.n, system.n + system.n2
+    ns = NullSpace(K[:N, :N], K[N:, :N], interior_columns(system.C2) + n)
+    fact = spla.splu(ns.K, **_UNPIVOTED_LU)
+
+    def solve(rhs):
+        return np.concatenate(ns.solve(fact, rhs[:N], rhs[N:]))
+
+    x = solve(b)
+    x = x + solve(b - K @ x)
+    return ns, (x[:n], x[n:N], x[N:])

@@ -142,8 +142,10 @@ def test_solve_smoke(tmp_path, capsys):
     assert set(errs) == {"L2_u", "H1_u", "L2_u2", "H1_u2"}
     assert all(np.isfinite(v) and v > 0 for v in errs.values())
     dims, stats = summary["dims"], summary["stats"]
-    assert set(stats) == {"unknowns", "factored", "eliminated", "lu_fill"}
-    assert all(isinstance(v, int) for v in stats.values())
+    assert set(stats) == {"unknowns", "factored", "eliminated", "lu_fill", "constraint_rel"}
+    sizes = {k: v for k, v in stats.items() if k != "constraint_rel"}
+    assert all(isinstance(v, int) for v in sizes.values())
+    assert 0.0 <= stats["constraint_rel"] <= 1e-12
     assert stats["unknowns"] == dims["n"] + dims["n2"] + dims["m"]
     # elm1: the bubbles and the multiplier are eliminated before the LU
     assert stats["eliminated"] == 2 * dims["m"]
@@ -180,13 +182,14 @@ def test_convergence_smoke_and_determinism(tmp_path):
     assert len(data["stats"]) == 3
     for stats, dims in zip(data["stats"], data["dims"]):
         assert set(stats) == {
-            "unknowns", "factored", "eliminated", "lu_fill",
+            "unknowns", "factored", "eliminated", "lu_fill", "constraint_rel",
             "transfer_unconverged", "transfer_max_miss",
         }
+        assert 0.0 <= stats["constraint_rel"] <= 1e-12
         assert stats["unknowns"] == dims["n"] + dims["n2"] + dims["m"]
         assert stats["factored"] < stats["unknowns"]
         assert stats["transfer_unconverged"] >= 0 and stats["transfer_max_miss"] >= 0
-    assert "fill" not in csv1 and "transfer" not in csv1
+    assert "fill" not in csv1 and "transfer" not in csv1 and "constraint" not in csv1
 
     # identical rerun into the same directory is byte identical
     assert main(["convergence", "--config", cfg, "--output", str(out)]) == 0

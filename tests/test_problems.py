@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fddlm import problems
 from fddlm.problems import (
     CASES,
     background_spec,
@@ -102,3 +103,17 @@ def test_immersed_base_for_ratio():
     assert finer > base > coarser
     with pytest.raises(ValueError, match="ratio"):
         immersed_base_for_ratio(3, bg.h, 0.0)
+
+
+@pytest.mark.parametrize("example", [1, 2, 3, 4])
+def test_ratio_search_stops_at_the_crossing(example):
+    # the search stops once the distance to the target grows, which finds
+    # the closest candidate only because h2 falls strictly with the base
+    step = 2 if example == 2 else 1
+    bases = np.arange(step, problems._MAX_BASE + 1, step)
+    h2 = np.array([build_mesh(immersed_spec(example, n)).h for n in bases])
+    assert np.all(np.diff(h2) < 0)
+    h = build_mesh(background_spec(example, 16)).h
+    for ratio in [*np.geomspace(0.25, 4.0, 13), 1.08, 1.127, 1.15]:
+        closest = bases[np.argmin(np.abs(h2 - ratio * h))]
+        assert immersed_base_for_ratio(example, h, ratio) == closest

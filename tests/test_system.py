@@ -35,7 +35,13 @@ from fddlm.system import (
     project_p0,
     solve_saddle,
 )
-from oracles import CellMap, assemble_reference, field_errors_reference, interpolate
+from oracles import (
+    CellMap,
+    assemble_reference,
+    field_errors_reference,
+    interpolate,
+    solve_saddle_sliced,
+)
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
 # -1/6, diagonal neighbours -1/3
@@ -220,6 +226,27 @@ def test_scaling_equivariance():
         assert 3.0 * a == pytest.approx(b, rel=1e-12, abs=1e-12)
 
 
+def test_relative_constraint_residual_is_scale_free():
+    # loads and boundary data scaled by 1e6 scale the solution and the
+    # absolute constraint residual alike; the relative one stays at rounding
+    exact = problems.exact_solution(3, 1)
+    t, t2 = benchmark_meshes(3, 1)
+    sols = []
+    for s in (1.0, 1e6):
+        sysm, vh, _ = coupled_system(t, t2, "elm1", 1.0, 10.0, f=s, f2=s)
+        bc = dirichlet_bc(vh, lambda x, y: s * exact["u1"](x, y))
+        sol = solve_saddle(sysm, bc)
+        elim = apply_dirichlet(sysm, bc)
+        norm = [np.abs(C.toarray()).sum(axis=1).max() for C in (elim.C1, elim.C2)]
+        scale = (
+            norm[0] * np.abs(sol.u).max() + norm[1] * np.abs(sol.u2).max() + np.abs(elim.G).max()
+        )
+        assert sol.stats["constraint_rel"] == pytest.approx(sol.constraint_res / scale, rel=1e-12)
+        assert sol.stats["constraint_rel"] <= 1e-14
+        sols.append(sol)
+    assert sols[1].constraint_res > 1e4 * sols[0].constraint_res
+
+
 def test_energy_identity():
     sysm, vh, _ = toy_system(beta=1.0, beta2=10.0)
     elim = apply_dirichlet(sysm, dirichlet_bc(vh))
@@ -330,6 +357,34 @@ def test_condensed_route_matches_full_factorization(example, element, case, monk
         assert 0 < sol.stats["lu_fill"] < ref.stats["lu_fill"]
         for got, want in ((sol.u, ref.u), (sol.u2, ref.u2), (sol.lam, ref.lam)):
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
+    # blkdiag(A1, A2) and [C1, -C2] taken from the blocks hold the same
+    # arrays as the slices of the full K, so the solve keeps every bit
+    built = []
+
+    class Recorded(NullSpace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(system_module, "NullSpace", Recorded)
+    exact = problems.exact_solution(3, 3)
+    t, t2 = benchmark_meshes(3, 1)
+    sysm, vh, _ = coupled_system(t, t2, element, *problems.CASES[3])
+    bc = dirichlet_bc(vh, exact["u1"])
+    sol = solve_saddle(sysm, bc)
+    ref, fields = solve_saddle_sliced(sysm, bc)
+    (ns,) = built
+    for name in ("K", "M", "G", "Z", "P"):
+        got, want = getattr(ns, name), getattr(ref, name)
+        assert got.format == want.format
+        for arr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, arr), getattr(want, arr))
+    for got, want in zip((sol.u, sol.u2, sol.lam), fields):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("element", ["elm1", "elm2"])
