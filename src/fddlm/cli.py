@@ -18,7 +18,8 @@ import numpy as np
 from . import problems
 from .infsup import infsup_sweep
 from .runner import ELEMENTS, ERROR_COLUMNS, run_study, solve_level, study_meshes
-from .system import SolverError
+from .system import SolverError, error_norms
+from .vtk_io import write_vtk
 
 __all__ = ["RunConfig", "load_config", "main", "ConfigError"]
 
@@ -112,10 +113,22 @@ def _fmt(x):
     return _FMT % x if np.isfinite(x) else "nan"
 
 
+def _write_table(outdir, name, cfg, base, header, rows, trailer=None):
+    """Write a CSV table under its config and immersed-base comment lines.
+
+    ``header`` and each of ``rows`` are sequences of formatted fields;
+    ``trailer``, if given, is written as the last line.
+    """
+    lines = [f"# config: {_config_json(cfg)}", f"# immersed_base: {base}"]
+    lines += [",".join(r) for r in (header, *rows)]
+    if trailer is not None:
+        lines.append(trailer)
+    with open(os.path.join(outdir, name), "w") as f:
+        f.write("\n".join(lines) + "\n")
+
+
 def cmd_solve(cfg):
     """Solve at the finest configured level and export fields + summary."""
-    from .vtk_io import write_vtk
-
     outdir = _ensure_outdir(cfg)
     level = cfg.levels - 1
     beta, beta2 = problems.CASES[cfg.case]
@@ -152,8 +165,6 @@ def cmd_solve(cfg):
         "outputs": ["solution_u.vtk", "solution_u2.vtk"],
     }
     if exact is not None:
-        from .system import error_norms
-
         e = error_norms(
             data.sol, data.vh, data.v2,
             exact["u"], exact["grad_u"], exact["u2"], exact["grad_u2"],
@@ -176,19 +187,14 @@ def cmd_convergence(cfg):
         base_cells=cfg.base_cells,
         ratio=cfg.ratio,
     )
-    csv_path = os.path.join(outdir, "rates.csv")
     cols = list(ERROR_COLUMNS)
-    with open(csv_path, "w") as f:
-        f.write(f"# config: {_config_json(cfg)}\n")
-        f.write(f"# immersed_base: {res.immersed_base}\n")
-        f.write("level,h,h2," + ",".join(cols) + "\n")
-        for i, lvl in enumerate(res.levels):
-            row = [str(lvl), _fmt(res.h[i]), _fmt(res.h2[i])]
-            row += [_fmt(res.errors[c][i]) for c in cols]
-            f.write(",".join(row) + "\n")
-        f.write(
-            "rate,nan,nan," + ",".join(_fmt(res.rates[c]) for c in cols) + "\n"
-        )
+    rows = [
+        [str(lvl), _fmt(res.h[i]), _fmt(res.h2[i])] + [_fmt(res.errors[c][i]) for c in cols]
+        for i, lvl in enumerate(res.levels)
+    ]
+    rows.append(["rate", "nan", "nan"] + [_fmt(res.rates[c]) for c in cols])
+    header = ["level", "h", "h2"] + cols
+    _write_table(outdir, "rates.csv", cfg, res.immersed_base, header, rows)
     payload = {
         "config": asdict(cfg),
         "immersed_base": res.immersed_base,
@@ -214,24 +220,18 @@ def cmd_infsup(cfg):
     base = cfg.infsup_base or _INFSUP_BASE_DEFAULT[kind]
     spec = problems.immersed_spec(cfg.example, base)
     report = infsup_sweep(cfg.element, spec, cfg.levels)
-    path = os.path.join(outdir, "infsup.csv")
-    with open(path, "w") as f:
-        f.write(f"# config: {_config_json(cfg)}\n")
-        f.write(f"# immersed_base: {spec.base_cells}\n")
-        f.write("level,h2,dim_V2h,dim_Lh,sigma_min,gamma_est\n")
-        for i, lvl in enumerate(report.levels):
-            f.write(
-                "%d,%s,%d,%d,%s,%s\n"
-                % (
-                    lvl,
-                    _fmt(report.h2[i]),
-                    report.dim_V2h[i],
-                    report.dim_Lh[i],
-                    _fmt(report.sigma_min[i]),
-                    _fmt(report.gamma_est[i]),
-                )
-            )
-        f.write(f"# verdict: {report.verdict()}\n")
+    rows = [
+        ("%d" % lvl, _fmt(h2), "%d" % n2, "%d" % m, _fmt(s), _fmt(g))
+        for lvl, h2, n2, m, s, g in zip(
+            report.levels, report.h2, report.dim_V2h, report.dim_Lh,
+            report.sigma_min, report.gamma_est,
+        )
+    ]
+    header = ("level", "h2", "dim_V2h", "dim_Lh", "sigma_min", "gamma_est")
+    _write_table(
+        outdir, "infsup.csv", cfg, spec.base_cells, header, rows,
+        trailer=f"# verdict: {report.verdict()}",
+    )
     payload = {
         "config": asdict(cfg),
         "immersed_base": spec.base_cells,
@@ -249,8 +249,6 @@ def cmd_infsup(cfg):
 
 def cmd_mesh_export(cfg):
     """Export the background and immersed meshes of every level as VTK."""
-    from .vtk_io import write_vtk
-
     outdir = _ensure_outdir(cfg)
     bg_seq, im_seq, _ = study_meshes(cfg.example, cfg.base_cells, cfg.ratio, cfg.levels)
     title = f"fddlm mesh config={_config_json(cfg)}"
@@ -296,11 +294,8 @@ def main(argv=None):
                 print(f"rate {c}: {res.rates[c]:.3f}")
         elif args.command == "infsup":
             report = cmd_infsup(cfg)
-            for i in range(len(report.levels)):
-                print(
-                    f"level {report.levels[i]}: h2={report.h2[i]:.4e} "
-                    f"gamma={report.gamma_est[i]:.6e}"
-                )
+            for lvl, h2, g in zip(report.levels, report.h2, report.gamma_est):
+                print(f"level {lvl}: h2={h2:.4e} gamma={g:.6e}")
             print(f"verdict: {report.verdict()}")
         else:
             for p in cmd_mesh_export(cfg):

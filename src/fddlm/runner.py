@@ -243,7 +243,7 @@ def run_study(
                 d.sol, d.vh, d.v2,
                 exact["u"], exact["grad_u"], exact["u2"], exact["grad_u2"],
             )
-        elif ref is not None:
+        else:
             uref = FEFieldRef(ref.vh, ref.sol.u)
             u2ref = FEFieldRef(ref.v2, ref.sol.u2)
             e = error_norms(
@@ -252,8 +252,6 @@ def run_study(
             locs = (uref.locator, u2ref.locator)
             stats["transfer_unconverged"] = sum(len(loc.unconverged) for loc in locs)
             stats["transfer_max_miss"] = float(np.max([loc.max_miss for loc in locs]))
-        else:
-            e = {c: float("nan") for c in ("L2_u", "H1_u", "L2_u2", "H1_u2")}
         for c in ("L2_u", "H1_u", "L2_u2", "H1_u2"):
             res.errors[c].append(e[c])
         if ref is not None:

@@ -12,41 +12,25 @@ def write_vtk(path, mesh, point_data=None, cell_data=None, title="quad mesh"):
     per-cell scalars. The title line carries provenance (truncated to the
     255-character format limit).
     """
-    point_data = point_data or {}
-    cell_data = cell_data or {}
     n = mesh.num_nodes
     m = mesh.num_cells
     with open(path, "w") as f:
         f.write("# vtk DataFile Version 3.0\n")
         f.write(title[:255] + "\n")
-        f.write("ASCII\n")
-        f.write("DATASET UNSTRUCTURED_GRID\n")
+        f.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         f.write(f"POINTS {n} double\n")
-        for x, y in mesh.nodes:
-            f.write("%.12e %.12e 0.0\n" % (x, y))
+        np.savetxt(f, mesh.nodes, fmt="%.12e %.12e 0.0")
         f.write(f"CELLS {m} {5 * m}\n")
-        for c in mesh.cells:
-            f.write("4 %d %d %d %d\n" % tuple(c))
+        np.savetxt(f, mesh.cells, fmt="4 %d %d %d %d")
         f.write(f"CELL_TYPES {m}\n")
-        for _ in range(m):
-            f.write("9\n")
-        if point_data:
-            f.write(f"POINT_DATA {n}\n")
-            for name, vals in point_data.items():
+        np.savetxt(f, np.full(m, 9), fmt="%d")
+        for kind, count, fields in (("point", n, point_data), ("cell", m, cell_data)):
+            if not fields:
+                continue
+            f.write(f"{kind.upper()}_DATA {count}\n")
+            for name, vals in fields.items():
                 vals = np.asarray(vals, dtype=float)
-                if vals.shape[0] != n:
-                    raise ValueError(f"point data {name!r} has wrong length")
-                f.write(f"SCALARS {name} double 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                for v in vals:
-                    f.write("%.12e\n" % v)
-        if cell_data:
-            f.write(f"CELL_DATA {m}\n")
-            for name, vals in cell_data.items():
-                vals = np.asarray(vals, dtype=float)
-                if vals.shape[0] != m:
-                    raise ValueError(f"cell data {name!r} has wrong length")
-                f.write(f"SCALARS {name} double 1\n")
-                f.write("LOOKUP_TABLE default\n")
-                for v in vals:
-                    f.write("%.12e\n" % v)
+                if vals.shape[0] != count:
+                    raise ValueError(f"{kind} data {name!r} has wrong length")
+                f.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                np.savetxt(f, vals, fmt="%.12e")

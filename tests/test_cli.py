@@ -128,6 +128,11 @@ def test_mesh_export(tmp_path):
         assert all(t == 9 for t in v["cell_types"])
         assert np.all(v["cells"][:, 0] == 4)
         assert np.all(v["points"][:, 2] == 0.0)
+    # an identical rerun into the same directory is byte identical
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(first) == 4
+    assert main(["mesh-export", "--config", cfg, "--output", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
 
 
 def test_solve_smoke(tmp_path, capsys):
@@ -162,6 +167,12 @@ def test_solve_smoke(tmp_path, capsys):
     centers = v2["points"][:, :2]
     k = int(np.argmin(np.hypot(centers[:, 0], centers[:, 1])))
     assert v2["point_data"]["u2"][k] == pytest.approx(31.0 / 40.0, abs=0.05)
+
+    # an identical rerun into the same directory is byte identical
+    names = ("summary.json", "solution_u.vtk", "solution_u2.vtk")
+    first = [(out / name).read_bytes() for name in names]
+    assert main(["solve", "--config", cfg, "--output", str(out)]) == 0
+    assert [(out / name).read_bytes() for name in names] == first
 
 
 def test_convergence_smoke_and_determinism(tmp_path):
@@ -248,3 +259,38 @@ def test_write_vtk_validation(tmp_path):
         write_vtk(str(tmp_path / "x.vtk"), m, point_data={"u": np.zeros(3)})
     with pytest.raises(ValueError, match="cell data"):
         write_vtk(str(tmp_path / "y.vtk"), m, cell_data={"lam": np.zeros(3)})
+
+
+def test_write_vtk_exact_bytes(tmp_path):
+    m = build_mesh(DomainSpec("rectangle", bounds=(0, 2, -1, 0.5), base_cells=1))
+    path = tmp_path / "one.vtk"
+    write_vtk(
+        str(path), m, point_data={"u": [0.5, -1.25, 1 / 3, 0.0]},
+        cell_data={"lambda": [-2.0]}, title="one cell",
+    )
+    assert path.read_bytes() == (
+        b"# vtk DataFile Version 3.0\n"
+        b"one cell\n"
+        b"ASCII\n"
+        b"DATASET UNSTRUCTURED_GRID\n"
+        b"POINTS 4 double\n"
+        b"0.000000000000e+00 -1.000000000000e+00 0.0\n"
+        b"2.000000000000e+00 -1.000000000000e+00 0.0\n"
+        b"0.000000000000e+00 5.000000000000e-01 0.0\n"
+        b"2.000000000000e+00 5.000000000000e-01 0.0\n"
+        b"CELLS 1 5\n"
+        b"4 0 1 3 2\n"
+        b"CELL_TYPES 1\n"
+        b"9\n"
+        b"POINT_DATA 4\n"
+        b"SCALARS u double 1\n"
+        b"LOOKUP_TABLE default\n"
+        b"5.000000000000e-01\n"
+        b"-1.250000000000e+00\n"
+        b"3.333333333333e-01\n"
+        b"0.000000000000e+00\n"
+        b"CELL_DATA 1\n"
+        b"SCALARS lambda double 1\n"
+        b"LOOKUP_TABLE default\n"
+        b"-2.000000000000e+00\n"
+    )
