@@ -129,6 +129,9 @@ def _null_space_inverse(ns, r):
     the row scalings are folded into M and G once, so each application is
     two sparse products and one solve pair. Returns the apply and the
     factor (None when nq = 0, where W^{-1} is the scaled G alone).
+    Unlike ``solve_saddle``, this keeps ``ns.K`` after the factor: nothing
+    as large is built after it here, so dropping it would not lower the
+    sweep's peak.
     """
     Dr = sp.diags(1.0 / r)
     G = (Dr @ ns.G @ Dr).tocsr()

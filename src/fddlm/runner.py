@@ -152,13 +152,20 @@ def solve_level(t, t2, element, beta, beta2, g=None):
     fam_h, fam_2 = element_families(element)
     vh = build_space(t, fam_h)
     v2 = build_space(t2, fam_2)
-    C1 = assemble_C1(build_intersections(t2, t), vh)
-    C2 = assemble_C2(v2)
-    A1 = assemble_A1(vh, beta)
-    A2 = assemble_A2(v2, beta, beta2)
-    F1, F2 = assemble_rhs(vh, v2)
-    system = BlockSystem(A1, A2, C1, C2, F1, F2)
-    sol = solve_saddle(system, dirichlet_bc(vh, g))
+    # the blocks go straight into the call, with no name here: CPython
+    # moves a call's arguments into the callee's frame, so rebinding the
+    # system to its eliminated copy in solve_saddle frees the un-eliminated
+    # A1, C1, F1 and G before the factor runs
+    sol = solve_saddle(
+        BlockSystem(
+            assemble_A1(vh, beta),
+            assemble_A2(v2, beta, beta2),
+            assemble_C1(build_intersections(t2, t), vh),
+            assemble_C2(v2),
+            *assemble_rhs(vh, v2),
+        ),
+        dirichlet_bc(vh, g),
+    )
     return LevelData(
         t=t,
         t2=t2,

@@ -83,31 +83,52 @@ def _scatter(space, cellvals):
     return mat.tocsr()
 
 
+# bytes of one block's gradient array in the element matrices, 16 q nl a
+# cell: blocks of 1 820 Q1, 1 456 Q1B or 809 Q2 cells. That splits the
+# 64^2 disk level and the inf-sup sweep's 1 280-cell Q2 level, but no level
+# of the flower study, whose largest is its 1 024-cell background
+_BLOCK_BYTES = 2**20
+
+
 def _element_matrices(space, stiff, mass):
     """Per cell, sum_q w det (stiff grad phi_l . grad phi_k + mass phi_l phi_k);
-    (M, nl, nl). A term whose coefficient is zero is not evaluated."""
+    (M, nl, nl). A term whose coefficient is zero is not evaluated.
+
+    The cells go through in blocks whose gradient array takes at most
+    ``_BLOCK_BYTES``, into one preallocated array; each cell's arithmetic
+    is the same in any block, so the result equals a single block's bit
+    for bit.
+    """
     M, nl = space.dof_map.shape
     wdet, Jinv, _ = _cell_terms(space, _RULE, jinv=bool(stiff))
-    ke = np.zeros((M, nl, nl))
+    step = max(1, _BLOCK_BYTES // (16 * _RULE.weights.size * nl))
+    dphi = el.grad_matrix(space.family, _RULE.points)
+    phi = el.basis_matrix(space.family, _RULE.points)
     if stiff:
-        # grad phi = J^{-T} gradref phi per cell, point and basis function
-        dphi = el.grad_matrix(space.family, _RULE.points)
-        g = np.einsum("mqba,qlb->mqla", Jinv, dphi, optimize=True)
-        # (M, q, nl, 2) -> (M, nl, 2q): the gradient terms as one batched matmul
-        g = g.transpose(0, 2, 1, 3).reshape(M, nl, -1)
-        ke += (g * np.repeat(stiff * wdet, 2, axis=1)[:, None, :]) @ g.transpose(0, 2, 1)
-    if mass:
-        phi = el.basis_matrix(space.family, _RULE.points)
-        ke += (phi.T * (mass * wdet)[:, None, :]) @ phi
+        path = np.einsum_path("mqba,qlb->mqla", Jinv[:step], dphi, optimize=True)[0]
+    ke = np.zeros((M, nl, nl))
+    for s in range(0, M, step):
+        block = slice(s, s + step)
+        if stiff:
+            # grad phi = J^{-T} gradref phi per cell, point and basis function
+            g = np.einsum("mqba,qlb->mqla", Jinv[block], dphi, optimize=path)
+            # (m, q, nl, 2) -> (m, nl, 2q): the gradient terms as one batched matmul
+            g = g.transpose(0, 2, 1, 3).reshape(g.shape[0], nl, -1)
+            ke[block] += (
+                g * np.repeat(stiff * wdet[block], 2, axis=1)[:, None, :]
+            ) @ g.transpose(0, 2, 1)
+        if mass:
+            ke[block] += (phi.T * (mass * wdet[block])[:, None, :]) @ phi
     return ke
 
 
 def assemble_matrix(space, stiff=1.0, mass=0.0):
     """stiff * stiffness + mass * mass matrix of a space (CSR)."""
-    # the element matrices come from a helper so that its geometry and
-    # gradient temporaries are freed before _scatter allocates the matrix:
-    # built inline, the matrix lands above them on the heap and the
-    # inf-sup sweep's peak RSS rises by about 2 MB
+    # the element matrices come from a helper so that its geometry is freed
+    # before _scatter allocates the matrix's index arrays, and in blocks so
+    # that the gradient temporaries stay small: built all at once (about
+    # 5 MB for Q2 on 1 280 cells), they sat on the heap under the level's
+    # later factor, which glibc keeps resident
     return _scatter(space, _element_matrices(space, stiff, mass))
 
 
@@ -278,7 +299,8 @@ class NullSpace:
     P = E_b D^-1 is a right inverse of B. Built once: Z, P (CSR),
     K = Z^T H Z (CSC, for the caller to factor), M = Z^T H P and
     G = P^T H P (CSR). K is nonsingular exactly when H is nonsingular
-    on ker B.
+    on ker B. ``solve`` reads Z, P, M and G only, so a caller may delete
+    K once factored (``solve_saddle`` does).
     """
 
     def __init__(self, H, B, interior):
@@ -325,8 +347,9 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     When every row of C2 owns a column that no other row touches (elm1 and
     elm2: the cell's bubble or centre dof, see ``interior_columns``), only
     Z^T blkdiag(A1, A2) Z of ``NullSpace``, in u and the other u2 dofs, is
-    factored, without pivoting; ``NullSpace`` takes blkdiag(A1, A2) and
-    [C1, -C2] straight from the blocks. Otherwise (q1q1p0 on any
+    factored, without pivoting, and dropped from the ``NullSpace`` once
+    factored; ``NullSpace`` takes blkdiag(A1, A2) and [C1, -C2] straight
+    from the blocks. Otherwise (q1q1p0 on any
     non-trivial mesh) a CSC copy of the full K is factored by a pivoted
     sparse LU. Either way the full K, kept in CSR only, serves one step of
     iterative refinement and the reported residual, the normwise backward
@@ -338,6 +361,10 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     ``stats["constraint_rel"]``. When A2 = (beta2 - beta) * stiffness has
     no nonzero value and n2 > m, K is singular and SolverError is raised
     before factoring.
+
+    ``system`` is rebound to the eliminated blocks, so where the caller
+    keeps no reference to it (``runner.solve_level``), the un-eliminated
+    A1, C1, F1 and G are freed before the factor runs.
     """
     if bc is not None:
         system = apply_dirichlet(system, bc)
@@ -361,8 +388,10 @@ def solve_saddle(system, bc=None, rtol=1e-10):
                 interior + system.n,
             )
             fact = spla.splu(ns.K, **_UNPIVOTED_LU)
-            # the factorization's workspace is the solve's memory peak; K,
-            # built after it, does not add to that peak
+            # the factorization's workspace is the solve's memory peak; the
+            # factor holds its own copy of the null-space K, which goes
+            # before the full K is built next to the factor
+            del ns.K
             K = full_matrix(system)
 
             def solve(rhs):

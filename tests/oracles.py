@@ -25,8 +25,11 @@ errors through per-basis physical gradients; it is the oracle of the
 error norms taken from the field's reference gradients.
 ``solve_saddle_sliced`` runs the null-space solve on H and B sliced from
 a CSC copy of the full saddle matrix; it is the oracle of the solve that
-builds them from the blocks.
+builds them from the blocks. ``traced_peak`` measures the peak of the
+Python-traced allocations of one call, for the memory bounds.
 """
+
+import tracemalloc
 
 import numpy as np
 import scipy.sparse as sp
@@ -509,3 +512,13 @@ def solve_saddle_sliced(system, bc):
     x = solve(b)
     x = x + solve(b - K @ x)
     return ns, (x[:n], x[n:N], x[N:])
+
+
+def traced_peak(fn):
+    """Peak bytes of the allocations tracemalloc traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,7 +1,5 @@
 """Cross-mesh coupling: exact cut-cell moments and pairing matrices."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,7 +19,7 @@ from fddlm.element import Q1, Q1B, Q2, basis_matrix
 from fddlm.mesh import DomainSpec, QuadMesh, build_mesh
 from fddlm.runner import build_mesh_sequence
 from fddlm.space import build_space
-from oracles import cell_map_inverse, clip_convex, fan_rule
+from oracles import cell_map_inverse, clip_convex, fan_rule, traced_peak
 
 
 def patch(x0, x1, y0, y1, n=1):
@@ -233,13 +231,7 @@ def test_intersection_memory_is_bounded():
     # disk, 64^2 background cells, ratio 1: the single-call kernel peaked
     # at 22.2 MB of Python-traced allocations, blocked it takes 5.6 MB
     t, t2 = study_level(3, 2)
-    tracemalloc.start()
-    try:
-        build_intersections(t2, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+    assert traced_peak(lambda: build_intersections(t2, t)) < 10 * 2**20
 
 
 def test_c1_single_cell_oracle():

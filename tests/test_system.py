@@ -1,5 +1,7 @@
 """Assembly oracles, Dirichlet elimination and the saddle solver."""
 
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,10 +12,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
+import fddlm.runner as runner_module
 import fddlm.system as system_module
 from fddlm import problems
 from fddlm.coupling import assemble_C1, assemble_C2, build_intersections
-from fddlm.element import Q1, Q2, gauss_square, grad_matrix
+from fddlm.element import Q1, Q1B, Q2, gauss_square, grad_matrix
 from fddlm.mesh import DomainSpec, build_mesh
 from fddlm.runner import ELEMENTS, FEFieldRef, solve_level, study_meshes
 from fddlm.space import build_space, dirichlet_bc
@@ -41,6 +44,7 @@ from oracles import (
     field_errors_reference,
     interpolate,
     solve_saddle_sliced,
+    traced_peak,
 )
 
 # symbolic Q1 stiffness of the unit cell: diagonal 2/3, edge neighbours
@@ -368,7 +372,8 @@ def test_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
     class Recorded(NullSpace):
         def __init__(self, *args):
             super().__init__(*args)
-            built.append(self)
+            # the solve drops K once factored: keep what was built
+            built.append(SimpleNamespace(**vars(self)))
 
     monkeypatch.setattr(system_module, "NullSpace", Recorded)
     exact = problems.exact_solution(3, 3)
@@ -401,6 +406,107 @@ def test_lu_fill_counts_l_and_u_on_the_condensed_route(element, monkeypatch):
     for level in (0, 1):
         stats = solve_level(*benchmark_meshes(4, level), element, 1.0, 10.0).sol.stats
         assert stats["lu_fill"] == factors[-1].L.nnz + factors[-1].U.nnz
+
+
+class _Spla:
+    """Stands in for ``fddlm.system.spla`` with its ``splu`` replaced, as
+    the benchmark's tracer wraps it."""
+
+    def __init__(self, splu):
+        self.splu = splu
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_solve_level_frees_what_the_solve_has_eliminated(element, monkeypatch):
+    # solve_level hands its blocks straight to solve_saddle, whose Dirichlet
+    # elimination then drops the last references to the un-eliminated A1
+    # and C1 before the factor; the null-space K goes once factored, before
+    # the full K is built next to the factor
+    assembled, factored, dead = {}, [], {}
+    for name in ("assemble_A1", "assemble_C1"):
+
+        def keep(*args, _fn=getattr(runner_module, name), _name=name):
+            out = _fn(*args)
+            assembled[_name] = weakref.ref(out)
+            return out
+
+        monkeypatch.setattr(runner_module, name, keep)
+
+    def splu(K, **kwargs):
+        gc.collect()
+        dead["A1, C1 at the factor"] = [ref() is None for ref in assembled.values()]
+        factored.append(weakref.ref(K))
+        return spla.splu(K, **kwargs)
+
+    full_matrix = system_module.full_matrix
+
+    def checked_full_matrix(system):
+        gc.collect()
+        dead["K at the full matrix"] = factored[0]() is None
+        return full_matrix(system)
+
+    monkeypatch.setattr(system_module, "spla", _Spla(splu))
+    monkeypatch.setattr(system_module, "full_matrix", checked_full_matrix)
+    solve_level(*benchmark_meshes(3, 0), element, *problems.CASES[1])
+    assert len(factored) == 1
+    assert dead == {"A1, C1 at the factor": [True, True], "K at the full matrix": True}
+
+
+def assembly_meshes():
+    """The immersed disk and flower meshes at 80 and 320 cells."""
+    return [build_mesh(problems.immersed_spec(ex, 2), lvl) for ex in (3, 4) for lvl in (1, 2)]
+
+
+@pytest.mark.parametrize("fam", [Q1, Q1B, Q2], ids=["q1", "q1b", "q2"])
+def test_blocked_element_matrices_equal_one_block(fam, monkeypatch):
+    # each cell runs the same arithmetic in any block, so blocks of 7 cells
+    # and the default blocks give the matrix of a single block bit for bit
+    per_cell = 16 * system_module._RULE.weights.size * fam.ndofs
+    default = system_module._BLOCK_BYTES
+    for t2 in assembly_meshes():
+        space = build_space(t2, fam)
+        for stiff, mass in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (0.0, 0.0)):
+            mats = []
+            for block in (t2.num_cells * per_cell, 7 * per_cell, default):
+                monkeypatch.setattr(system_module, "_BLOCK_BYTES", block)
+                mats.append(assemble_matrix(space, stiff, mass))
+            one = mats[0]
+            for got in mats[1:]:
+                for arr in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(got, arr), getattr(one, arr))
+            if not stiff and not mass:
+                # the guard solve_saddle reads before factoring
+                assert all(A.count_nonzero() == 0 for A in mats)
+
+
+def test_assembly_memory_is_bounded():
+    # Q2 on the disk's 1 280-cell level, stiffness plus mass: all element
+    # matrices at once peaked at 5.19 MB of Python-traced allocations; in
+    # blocks the peak is the scatter's, 4.39 MB
+    space = build_space(build_mesh(problems.immersed_spec(3, 2), 3), Q2)
+    assert traced_peak(lambda: assemble_matrix(space, 1.0, 1.0)) < 4.8 * 2**20
+
+
+def mirror(coords, image):
+    """Per dof, the dof at its image under a map of the plane, matched by
+    coordinates rounded to 1e-9."""
+    index = {tuple(p): i for i, p in enumerate(np.round(coords, 9))}
+    return np.array([index[tuple(p)] for p in np.round(image, 9)])
+
+
+@pytest.mark.parametrize("element, case", [("elm1", 1), ("elm2", 2), ("q1q1p0", 1)])
+def test_centred_disk_solution_is_d4_symmetric(element, case):
+    # the box, the disk mesh and the data are invariant under x <-> y and
+    # x -> -x, so u is too, up to rounding: 2.8e-15 to 1.8e-14 of max |u|
+    # here, 1.5e-14 to 1.8e-13 at 64^2
+    exact = problems.exact_solution(3, case)
+    d = solve_level(*benchmark_meshes(3, 0), element, *problems.CASES[case], g=exact["u1"])
+    x, u = d.vh.dof_coords, d.sol.u
+    for image in (x[:, ::-1], x * [-1.0, 1.0]):
+        assert np.max(np.abs(u[mirror(x, image)] - u)) <= 1e-12 * np.max(np.abs(u))
 
 
 @settings(max_examples=80, deadline=None)
