@@ -247,9 +247,18 @@ def _build_radial(spec):
     pts = _disk_blocks(c[0], c[1], r, n).reshape(-1, 2)
     # merge block nodes by rounded coordinates, numbered by first appearance
     keys = np.rint(pts / (1e-9 * r)).astype(np.int64)
-    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    # ravel: numpy 2.0.0 returns a 2-D inverse for axis=0
-    ids = np.argsort(np.argsort(first))[inv.ravel()].reshape(5, n + 1, n + 1)
+    # equal keys are neighbours in a stable lexsort, whose first member of
+    # each run is the key's first appearance
+    order = np.lexsort((keys[:, 1], keys[:, 0]))
+    keys = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = order[new]
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = np.empty_like(order)
+    ids[order] = rank[np.cumsum(new) - 1]
+    ids = ids.reshape(5, n + 1, n + 1)
     nodes = pts[np.sort(first)]
     # cell (i, j) of a block joins grid nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     cells = np.stack(

@@ -48,15 +48,23 @@ ELEMENTS = {
 ERROR_COLUMNS = ("L2_u", "H1_u", "L2_u2", "H1_u2", "lambda_err")
 
 
+# an error below this fraction of its column's largest is at rounding
+# level, and its logarithm says nothing about convergence
+_RATE_FLOOR = 1e-8
+
+
 def least_squares_rate(h, err):
     """Least-squares slope of log(err) against log(h).
 
-    Entries with non-finite or non-positive error are dropped; returns
-    NaN when fewer than two points remain.
+    Entries with non-finite error, or error at most ``_RATE_FLOOR`` times
+    the largest finite one, are dropped; returns NaN when fewer than two
+    points remain.
     """
     h = np.asarray(h, dtype=float)
     err = np.asarray(err, dtype=float)
-    ok = np.isfinite(err) & (err > 0) & np.isfinite(h) & (h > 0)
+    finite = np.isfinite(err)
+    top = err[finite].max(initial=0.0)
+    ok = finite & (err > _RATE_FLOOR * top) & np.isfinite(h) & (h > 0)
     if ok.sum() < 2:
         return float("nan")
     A = np.column_stack([np.log(h[ok]), np.ones(ok.sum())])
@@ -163,6 +171,7 @@ def solve_level(t, t2, element, beta, beta2, g=None):
             assemble_C1(build_intersections(t2, t), vh),
             assemble_C2(v2),
             *assemble_rhs(vh, v2),
+            coords=np.concatenate([vh.dof_coords, v2.dof_coords]),
         ),
         dirichlet_bc(vh, g),
     )

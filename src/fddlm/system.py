@@ -42,6 +42,8 @@ __all__ = [
     "full_matrix",
     "apply_dirichlet",
     "interior_columns",
+    "dissection_order",
+    "factor_null_space",
     "NullSpace",
     "solve_saddle",
     "error_norms",
@@ -164,7 +166,11 @@ def assemble_rhs(vh_space, v2_space, f=1.0, f2=1.0):
 
 @dataclass
 class BlockSystem:
-    """Assembled blocks of the saddle system (pre or post elimination)."""
+    """Assembled blocks of the saddle system (pre or post elimination).
+
+    ``coords`` holds the (n + n2, 2) coordinates of the u and u2 dofs; the
+    null-space solve orders its larger factors by them (``factor_null_space``).
+    """
 
     A1: sp.spmatrix
     A2: sp.spmatrix
@@ -173,6 +179,7 @@ class BlockSystem:
     F1: np.ndarray
     F2: np.ndarray
     G: np.ndarray = None
+    coords: np.ndarray = None
 
     def __post_init__(self):
         if self.G is None:
@@ -183,6 +190,8 @@ class BlockSystem:
             raise ValueError("C1 and C2 must have the same number of rows")
         if self.A1.shape != (n, n) or self.A2.shape != (n2, n2):
             raise ValueError("block shapes are inconsistent")
+        if self.coords is not None and np.shape(self.coords) != (n + n2, 2):
+            raise ValueError("coords must hold (x, y) of every u and u2 dof")
 
     @property
     def n(self):
@@ -231,7 +240,7 @@ def apply_dirichlet(system, bc):
     G = system.G - system.C1 @ gfull
     A1 = (D @ A1 @ D + I_c).tocsr()
     C1 = (system.C1 @ D).tocsr()
-    return BlockSystem(A1, system.A2, C1, system.C2, F1, system.F2.copy(), G)
+    return BlockSystem(A1, system.A2, C1, system.C2, F1, system.F2.copy(), G, system.coords)
 
 
 class SolverError(RuntimeError):
@@ -289,6 +298,139 @@ _UNPIVOTED_LU = dict(
     options={"SymmetricMode": True},
 )
 
+# From this many rows on, the saddle's null-space K is ordered by
+# ``dissection_order`` instead of SuperLU's MMD. On the examples' elm1 and
+# elm2 levels, ordering plus factor took up to 1.6x the MMD factor's time
+# at 4 450 - 5 218 rows. From 5 538 rows on it took 0.6 - 0.85x on the
+# disk, 0.7 - 1.07x on the other elm1 levels, and 1.08 - 1.2x on the elm2
+# levels of the square patch, L-shape and flower, which fill 13 - 21 %
+# more; no row count parts those from the disk's. Smaller matrices, the
+# whole flower self-convergence study among them, mostly fill more under
+# the dissection
+_ND_MIN_ROWS = 5400
+# the dissection bisects down to boxes of about this many unknowns
+_ND_LEAF = 8
+
+
+def _dissect(xy, A):
+    """Box codes and separator levels of ``dissection_order`` for a CSC
+    matrix ``A``: (code, sep, D).
+
+    ``code`` holds each unknown's D-bit box code, top cut first, and
+    ``sep`` the level of the cut whose separator holds it, or D for an
+    unknown that stays in its leaf box.
+    """
+    n = xy.shape[0]
+    depth = max(0, int(np.ceil(np.log2(max(n, 1) / _ND_LEAF))))
+    lo = xy.min(axis=0)
+    ext = xy.max(axis=0) - lo
+    ext[ext == 0] = 1.0
+    # the axis of each cut, then the box index along each axis
+    cuts, width = [], ext.copy()
+    for _ in range(depth):
+        cuts.append(int(width[1] > width[0]))
+        width[cuts[-1]] /= 2
+    counts = [cuts.count(0), cuts.count(1)]
+    box = [
+        np.minimum(np.floor((xy[:, a] - lo[a]) * (2.0 ** counts[a] / ext[a])), 2 ** counts[a] - 1)
+        .astype(np.int32)
+        for a in (0, 1)
+    ]
+    # int32 codes (D < 31 up to 8 * 2^30 unknowns) gather twice as fast
+    code = np.zeros(n, dtype=np.int32)
+    seen = [0, 0]
+    for a in cuts:
+        seen[a] += 1
+        code = 2 * code + ((box[a] >> (counts[a] - seen[a])) & 1)
+    # the strict upper triangle's edges, and the bits where their endpoints'
+    # codes differ: an edge crosses the cut of the first such bit. Few
+    # int32 arrays, because their freed heap stays resident under the factor
+    cols = np.repeat(np.arange(n, dtype=np.int32), np.diff(A.indptr))
+    upper = A.indices < cols
+    rows, cols = A.indices[upper], cols[upper]
+    diff = code[rows] ^ code[cols]
+    sep = np.full(n, depth)
+    for lvl in range(depth):
+        shift = depth - 1 - lvl
+        at = diff >> shift == 1
+        a, b = rows[at], cols[at]
+        free = (sep[a] == depth) & (sep[b] == depth)
+        a, b = a[free], b[free]
+        a_up = ((code[a] >> shift) & 1).astype(bool)
+        ends = np.where(a_up, b, a), np.where(a_up, a, b)  # lower, upper
+        size = []
+        for e in ends:
+            mark = np.zeros(n, dtype=bool)
+            mark[e] = True
+            size.append(np.bincount(code[mark] >> (shift + 1), minlength=2**lvl))
+        take_upper = size[1] < size[0]
+        sep[np.where(take_upper[code[ends[0]] >> (shift + 1)], ends[1], ends[0])] = lvl
+    return code, sep, depth
+
+
+def dissection_order(xy, A):
+    """Nested dissection order (George 1973) of the unknowns of a
+    structurally symmetric CSC matrix ``A``, from their coordinates
+    ``xy`` (n, 2); returns the permutation as an index array.
+
+    The bounding box is halved along its longer side, D = ceil(log2(n / 8))
+    times, which gives every unknown a D-bit box code; a point on a cut goes
+    to the upper side, so no grid line is split. An edge of A belongs to
+    the cut of the first bit where its endpoints' codes differ. From the
+    top cut down, the edges of a cut whose endpoints are both still free
+    are separated by the endpoints on one side, the side with fewer of
+    them in each box (always the lower side filled 1.2 - 2.6x as much as
+    MMD on the examples' levels). Parts come before their separators: the order
+    sorts by the last leaf box of the subtree that each unknown closes,
+    then deeper first.
+    """
+    code, sep, depth = _dissect(xy, A)
+    return np.lexsort((-sep, code | ((1 << (depth - sep)) - 1)))
+
+
+def _permute_symmetric(A, perm):
+    """P A P^T of a CSC matrix with one copy: its columns selected, then its
+    row indices relabelled and sorted in place."""
+    B = A[:, perm]
+    inv = np.empty(perm.size, dtype=B.indices.dtype)
+    inv[perm] = np.arange(perm.size, dtype=inv.dtype)
+    B.indices[:] = inv[B.indices]
+    B.has_sorted_indices = False
+    B.sort_indices()
+    return B
+
+
+class _PermutedFactor:
+    """The factor of P K P^T, solving with K."""
+
+    def __init__(self, fact, perm):
+        self.fact = fact
+        self.perm = perm
+        self.shape = fact.shape
+        self.nnz = fact.nnz
+
+    def solve(self, rhs):
+        x = np.empty_like(rhs)
+        x[self.perm] = self.fact.solve(rhs[self.perm])
+        return x
+
+
+def factor_null_space(K, xy):
+    """Unpivoted sparse LU of a saddle's null-space K (CSC) whose unknowns
+    sit at ``xy``.
+
+    Below ``_ND_MIN_ROWS`` rows SuperLU orders K by MMD. From there on K is
+    permuted by ``dissection_order`` and factored in that order, and the
+    factor returned solves with K itself; the unpermuted K is dropped
+    before the factor runs, so a caller that hands over the only
+    reference frees it.
+    """
+    if K.shape[0] < _ND_MIN_ROWS:
+        return spla.splu(K, **_UNPIVOTED_LU)
+    perm = dissection_order(xy, K)
+    K = _permute_symmetric(K, perm)
+    return _PermutedFactor(spla.splu(K, **{**_UNPIVOTED_LU, "permc_spec": "NATURAL"}), perm)
+
 
 class NullSpace:
     """Null-space method for [[H, B^T], [B, 0]] (Benzi, Golub & Liesen 2005, section 6).
@@ -299,8 +441,8 @@ class NullSpace:
     P = E_b D^-1 is a right inverse of B. Built once: Z, P (CSR),
     K = Z^T H Z (CSC, for the caller to factor), M = Z^T H P and
     G = P^T H P (CSR). K is nonsingular exactly when H is nonsingular
-    on ker B. ``solve`` reads Z, P, M and G only, so a caller may delete
-    K once factored (``solve_saddle`` does).
+    on ker B. ``solve`` reads Z, P, M and G only, so a caller may take K
+    away to factor it (``solve_saddle`` does).
     """
 
     def __init__(self, H, B, interior):
@@ -347,9 +489,11 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     When every row of C2 owns a column that no other row touches (elm1 and
     elm2: the cell's bubble or centre dof, see ``interior_columns``), only
     Z^T blkdiag(A1, A2) Z of ``NullSpace``, in u and the other u2 dofs, is
-    factored, without pivoting, and dropped from the ``NullSpace`` once
-    factored; ``NullSpace`` takes blkdiag(A1, A2) and [C1, -C2] straight
-    from the blocks. Otherwise (q1q1p0 on any
+    factored, without pivoting, by ``factor_null_space`` (from
+    ``_ND_MIN_ROWS`` rows on in the nested dissection order of the dofs'
+    ``system.coords``; ValueError if the system has none), which takes it
+    from the ``NullSpace``; ``NullSpace`` takes blkdiag(A1, A2) and
+    [C1, -C2] straight from the blocks. Otherwise (q1q1p0 on any
     non-trivial mesh) a CSC copy of the full K is factored by a pivoted
     sparse LU. Either way the full K, kept in CSR only, serves one step of
     iterative refinement and the reported residual, the normwise backward
@@ -376,6 +520,12 @@ def solve_saddle(system, bc=None, rtol=1e-10):
     b = np.concatenate([system.F1, system.F2, system.G])
     interior = interior_columns(system.C2)
     N = system.n + system.n2
+    dissect = interior is not None and N - system.m >= _ND_MIN_ROWS
+    if dissect and system.coords is None:
+        raise ValueError(
+            f"the null-space K has {N - system.m} rows, at least {_ND_MIN_ROWS}, "
+            "and is ordered by its unknowns' coordinates: the system needs coords"
+        )
     try:
         if interior is None:
             K = full_matrix(system)
@@ -387,11 +537,15 @@ def solve_saddle(system, bc=None, rtol=1e-10):
                 sp.hstack([system.C1, -system.C2], format="csr"),
                 interior + system.n,
             )
-            fact = spla.splu(ns.K, **_UNPIVOTED_LU)
             # the factorization's workspace is the solve's memory peak; the
-            # factor holds its own copy of the null-space K, which goes
-            # before the full K is built next to the factor
-            del ns.K
+            # factor holds its own copy of the null-space K, so K leaves the
+            # NullSpace as the only argument of the factor, which drops it
+            # before factoring when it permutes K, and at the latest before
+            # the full K is built next to the factor
+            fact = factor_null_space(
+                vars(ns).pop("K"),
+                np.delete(system.coords, interior + system.n, axis=0) if dissect else None,
+            )
             K = full_matrix(system)
 
             def solve(rhs):

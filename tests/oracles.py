@@ -39,9 +39,9 @@ from fddlm.coupling import SLIVER_RTOL
 from fddlm.element import Q1, QuadratureRule, basis_matrix, cell_geometry, grad_matrix
 from fddlm.mesh import QuadMesh, _disk_blocks, refine_uniform
 from fddlm.system import (
-    _UNPIVOTED_LU,
     NullSpace,
     apply_dirichlet,
+    factor_null_space,
     full_matrix,
     interior_columns,
 )
@@ -494,7 +494,10 @@ def field_errors_reference(space, coeffs, exact, exact_grad, quad):
 
 def solve_saddle_sliced(system, bc):
     """Null-space solve with H = K[:N, :N] and B = K[N:, :N] sliced from a
-    CSC copy of the full K, one refinement step on that copy.
+    CSC copy of the full K, one refinement step on that copy. The
+    null-space K is factored as the solver factors it (MMD, or the
+    dissection of its unknowns' coordinates from ``_ND_MIN_ROWS`` rows on)
+    and kept on the ``NullSpace``.
 
     Needs a private column per row of C2 (elm1, elm2). Returns the
     ``NullSpace`` and (u, u2, lam).
@@ -503,8 +506,10 @@ def solve_saddle_sliced(system, bc):
     K = full_matrix(system).tocsc()
     b = np.concatenate([system.F1, system.F2, system.G])
     n, N = system.n, system.n + system.n2
-    ns = NullSpace(K[:N, :N], K[N:, :N], interior_columns(system.C2) + n)
-    fact = spla.splu(ns.K, **_UNPIVOTED_LU)
+    interior = interior_columns(system.C2) + n
+    ns = NullSpace(K[:N, :N], K[N:, :N], interior)
+    xy = None if system.coords is None else np.delete(system.coords, interior, axis=0)
+    fact = factor_null_space(ns.K, xy)
 
     def solve(rhs):
         return np.concatenate(ns.solve(fact, rhs[:N], rhs[N:]))

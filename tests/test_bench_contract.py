@@ -41,7 +41,7 @@ def tiny_run():
 
 
 def traced(run):
-    """Spans of ``run`` under an installed tracer, and its result."""
+    """The tracer of ``run`` under an installed tracer, and its result."""
     spans = load_spans()
     tracer = spans.Tracer("t")
     restore = spans.install(tracer)
@@ -50,13 +50,14 @@ def traced(run):
             result = run()
     finally:
         restore()
-    return tracer.spans, result
+    return tracer, result
 
 
 def test_spans_install_restore_and_threads():
     before = module_attrs()
     plain = tiny_run()
-    spans, result = traced(tiny_run)
+    tracer, result = traced(tiny_run)
+    spans = tracer.spans
     assert module_attrs() == before
     # a traced run computes the same numbers as an untraced one
     assert plain[1] == result[1]
@@ -76,8 +77,32 @@ def test_infsup_factor_is_charged_to_infsup():
     # the inf-sup factor goes through fddlm.infsup's own spla, so the
     # benchmark's system layer (factor spans, sparse_solves) stays empty
     # on the inf-sup sweep
-    names = [s["name"] for s in traced(tiny_sweep)[0]]
+    names = [s["name"] for s in traced(tiny_sweep)[0].spans]
     assert names.count("infsup.eig") == 2
     # per level, assemble_C2 and build_norm_matrices are each one span
     assert names.count("infsup.norms") == 4
     assert "system.factor" not in names
+
+
+def test_dissection_route_is_traced(monkeypatch):
+    # with the size limit low every null-space K is ordered by dissection:
+    # the tracer's splu wrap still sees each factor, the permuting solve
+    # runs through its traced solve, and the fill it reads is the solve's
+    monkeypatch.setattr(system, "_ND_MIN_ROWS", 0)
+    ordered = []
+    order = system.dissection_order
+
+    def counted(*args):
+        ordered.append(1)
+        return order(*args)
+
+    monkeypatch.setattr(system, "dissection_order", counted)
+    tracer, res = traced(lambda: runner.run_study(3, 1, "elm1", 2, base_cells=4))
+    assert len(ordered) == 2
+    names = [s["name"] for s in tracer.spans]
+    assert names.count("system.factor") == 2
+    assert names.count("system.solve") == 4
+    for name in ("system.saddle", "system.eliminate", "runner.solve_level"):
+        assert name in names
+    assert tracer.counts["sparse_solves"] == 2
+    assert tracer.maxima["lu_fill"] == max(s["lu_fill"] for s in res.stats)

@@ -189,6 +189,12 @@ def test_convergence_smoke_and_determinism(tmp_path):
     assert data["levels"] == [0, 1, 2]
     assert len(data["errors"]["L2_u"]) == 3
     assert data["rates"]["L2_u"] > 0.5
+    # level 0's one-cell patch has a multiplier error at rounding level
+    # (both sides are multiplier means); the rate skips it, where it once
+    # read -21.6
+    lam, h = data["errors"]["lambda_err"], data["h"]
+    assert lam[0] < 1e-8 * max(lam)
+    assert data["rates"]["lambda_err"] == pytest.approx(np.log(lam[2] / lam[1]) / np.log(h[2] / h[1]))
     assert all(r <= 1e-10 for r in data["residuals"])
     assert len(data["stats"]) == 3
     for stats, dims in zip(data["stats"], data["dims"]):

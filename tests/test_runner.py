@@ -33,6 +33,12 @@ def test_least_squares_rate():
     assert least_squares_rate(h, err) == pytest.approx(1.0, abs=1e-12)
     assert np.isnan(least_squares_rate([0.4], [0.1]))
     assert np.isnan(least_squares_rate(h, [np.nan, 0.0, -1.0, np.nan]))
+    # an error at rounding level against the column's largest is dropped
+    err = 3.0 * h**2
+    err[0] = 1e-8 * err[1]
+    assert least_squares_rate(h, err) == pytest.approx(2.0, abs=1e-12)
+    err[0] = 1.01e-8 * err[1]
+    assert least_squares_rate(h, err) < 0
 
 
 def test_fe_field_ref_shapes_and_values():

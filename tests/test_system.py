@@ -89,6 +89,7 @@ def coupled_system(t, t2, element, beta, beta2, f=1.0, f2=1.0):
         assemble_C1(table, vh),
         assemble_C2(v2),
         *assemble_rhs(vh, v2, f, f2),
+        coords=np.concatenate([vh.dof_coords, v2.dof_coords]),
     )
     return sysm, vh, v2
 
@@ -363,11 +364,20 @@ def test_condensed_route_matches_full_factorization(example, element, case, monk
             assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("element", ["elm1", "elm2"])
-def test_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
+def check_blocks_equal_the_sliced_matrix(element, route, monkeypatch):
     # blkdiag(A1, A2) and [C1, -C2] taken from the blocks hold the same
-    # arrays as the slices of the full K, so the solve keeps every bit
-    built = []
+    # arrays as the slices of the full K, so the solve keeps every bit; the
+    # oracle factors through the same ordering, which runs on both or on
+    # neither
+    built, ordered = [], []
+    monkeypatch.setattr(system_module, "_ND_MIN_ROWS", 0 if route == "dissection" else 10**9)
+    order = system_module.dissection_order
+
+    def counted(*args):
+        ordered.append(1)
+        return order(*args)
+
+    monkeypatch.setattr(system_module, "dissection_order", counted)
 
     class Recorded(NullSpace):
         def __init__(self, *args):
@@ -390,6 +400,17 @@ def test_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
             assert np.array_equal(getattr(got, arr), getattr(want, arr))
     for got, want in zip((sol.u, sol.u2, sol.lam), fields):
         assert np.array_equal(got, want)
+    assert len(ordered) == (2 if route == "dissection" else 0)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
+    check_blocks_equal_the_sliced_matrix(element, "mmd", monkeypatch)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_dissected_null_space_from_blocks_equals_the_sliced_matrix(element, monkeypatch):
+    check_blocks_equal_the_sliced_matrix(element, "dissection", monkeypatch)
 
 
 @pytest.mark.parametrize("element", ["elm1", "elm2"])
@@ -408,6 +429,87 @@ def test_lu_fill_counts_l_and_u_on_the_condensed_route(element, monkeypatch):
         assert stats["lu_fill"] == factors[-1].L.nnz + factors[-1].U.nnz
 
 
+@st.composite
+def point_graphs(draw):
+    """Points, many of them on shared lines, and a sparse symmetric pattern
+    (CSC, with its diagonal) on them."""
+    n = draw(st.integers(1, 120))
+    scale = draw(st.sampled_from([1.0, 0.3, 1e-3]))
+    ix = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    iy = draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    xy = scale * np.column_stack([ix, iy]).astype(float)
+    if draw(st.booleans()):
+        jitter = draw(st.lists(st.floats(0, 0.999), min_size=2 * n, max_size=2 * n))
+        xy += scale * np.reshape(jitter, (n, 2))
+    edges = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4 * n))
+    i, j = np.array(edges, dtype=int).reshape(-1, 2).T
+    A = sp.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    return xy, (A + A.T + sp.eye(n)).tocsc()
+
+
+@settings(max_examples=150, deadline=None)
+@given(point_graphs())
+def test_dissection_separates_every_split_and_orders_parts_first(graph):
+    xy, A = graph
+    n = xy.shape[0]
+    perm = system_module.dissection_order(xy, A)
+    assert np.array_equal(np.sort(perm), np.arange(n))
+    code, sep, depth = system_module._dissect(xy, A)
+    assert code.min() >= 0 and code.max() < 2**depth
+    # the split of an edge's endpoints is at the first bit where their box
+    # codes differ; with that split's separator (and those above) removed,
+    # no edge may join its two halves
+    A = sp.coo_matrix(A)
+    for i, j in zip(A.row, A.col):
+        split = depth - (int(code[i]) ^ int(code[j])).bit_length()
+        if split < depth:
+            assert min(sep[i], sep[j]) <= split
+    # a separator comes after every free unknown of its subtree
+    pos = np.argsort(perm)
+    for v in np.flatnonzero(sep < depth):
+        shift = depth - sep[v]
+        below = (code >> shift == code[v] >> shift) & (sep > sep[v])
+        assert np.all(pos[below] < pos[v])
+
+
+def test_dissection_fill_on_the_disk_64_level():
+    # the 64^2 disk level at immersed base 6, the cut pattern of the
+    # benchmark's nonzero seeds; MMD stores 1 201 136 L+U entries there
+    t = build_mesh(problems.background_spec(3, 16), 2)
+    t2 = build_mesh(problems.immersed_spec(3, 6), 2)
+    stats = solve_level(t, t2, "elm1", *problems.CASES[1]).sol.stats
+    assert stats["factored"] >= system_module._ND_MIN_ROWS
+    assert stats["lu_fill"] <= 1_100_000
+
+
+@pytest.mark.parametrize(
+    "element, case, rtol",
+    # 1e-6 on elm2 case 2 (beta2 = 1e4), the benchmark's pinned tolerance:
+    # there the error norms move by up to 2.2e-9
+    [("elm1", 1, 1e-9), ("elm1", 3, 1e-9), ("elm2", 2, 1e-6)],
+)
+def test_dissection_route_matches_the_mmd_route(element, case, rtol, monkeypatch):
+    studies = {}
+    for route, limit in (("mmd", 10**9), ("dissection", 0)):
+        monkeypatch.setattr(system_module, "_ND_MIN_ROWS", limit)
+        studies[route] = runner_module.run_study(3, case, element, 2, base_cells=16)
+    mmd, nd = studies["mmd"], studies["dissection"]
+    assert [s["lu_fill"] for s in mmd.stats] != [s["lu_fill"] for s in nd.stats]
+    assert max(nd.residuals) <= 1e-15
+    for col, want in mmd.errors.items():
+        np.testing.assert_allclose(nd.errors[col], want, rtol=rtol)
+
+
+def test_a_dissected_null_space_needs_coordinates(monkeypatch):
+    monkeypatch.setattr(system_module, "_ND_MIN_ROWS", 0)
+    sysm, vh, _ = toy_system()
+    sysm.coords = None
+    with pytest.raises(ValueError, match="coords"):
+        solve_saddle(sysm, dirichlet_bc(vh))
+    monkeypatch.setattr(system_module, "_ND_MIN_ROWS", 10**9)
+    assert solve_saddle(sysm, dirichlet_bc(vh)).residual <= 1e-10
+
+
 class _Spla:
     """Stands in for ``fddlm.system.spla`` with its ``splu`` replaced, as
     the benchmark's tracer wraps it."""
@@ -419,13 +521,22 @@ class _Spla:
         return getattr(spla, name)
 
 
-@pytest.mark.parametrize("element", ["elm1", "elm2"])
-def test_solve_level_frees_what_the_solve_has_eliminated(element, monkeypatch):
+def check_solve_level_frees(element, route, monkeypatch):
     # solve_level hands its blocks straight to solve_saddle, whose Dirichlet
     # elimination then drops the last references to the un-eliminated A1
     # and C1 before the factor; the null-space K goes once factored, before
-    # the full K is built next to the factor
-    assembled, factored, dead = {}, [], {}
+    # the full K is built next to the factor, and on the dissection route
+    # the unpermuted K goes before the factor of the permuted one
+    assembled, factored, dead, unpermuted = {}, [], {}, []
+    monkeypatch.setattr(system_module, "_ND_MIN_ROWS", 0 if route == "dissection" else 10**9)
+    if route == "dissection":
+        order = system_module.dissection_order
+
+        def kept(xy, K):
+            unpermuted.append(weakref.ref(K))
+            return order(xy, K)
+
+        monkeypatch.setattr(system_module, "dissection_order", kept)
     for name in ("assemble_A1", "assemble_C1"):
 
         def keep(*args, _fn=getattr(runner_module, name), _name=name):
@@ -438,6 +549,7 @@ def test_solve_level_frees_what_the_solve_has_eliminated(element, monkeypatch):
     def splu(K, **kwargs):
         gc.collect()
         dead["A1, C1 at the factor"] = [ref() is None for ref in assembled.values()]
+        dead["unpermuted K at the factor"] = [ref() is None for ref in unpermuted]
         factored.append(weakref.ref(K))
         return spla.splu(K, **kwargs)
 
@@ -452,7 +564,21 @@ def test_solve_level_frees_what_the_solve_has_eliminated(element, monkeypatch):
     monkeypatch.setattr(system_module, "full_matrix", checked_full_matrix)
     solve_level(*benchmark_meshes(3, 0), element, *problems.CASES[1])
     assert len(factored) == 1
-    assert dead == {"A1, C1 at the factor": [True, True], "K at the full matrix": True}
+    assert dead == {
+        "A1, C1 at the factor": [True, True],
+        "unpermuted K at the factor": [True] * (route == "dissection"),
+        "K at the full matrix": True,
+    }
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_solve_level_frees_what_the_solve_has_eliminated(element, monkeypatch):
+    check_solve_level_frees(element, "mmd", monkeypatch)
+
+
+@pytest.mark.parametrize("element", ["elm1", "elm2"])
+def test_dissected_solve_frees_the_unpermuted_k(element, monkeypatch):
+    check_solve_level_frees(element, "dissection", monkeypatch)
 
 
 def assembly_meshes():
@@ -559,6 +685,10 @@ def test_block_system_validation():
     sysm, _, _ = toy_system()
     with pytest.raises(ValueError, match="rows"):
         BlockSystem(sysm.A1, sysm.A2, sysm.C1, sysm.C2[:2], sysm.F1, sysm.F2)
+    with pytest.raises(ValueError, match="coords"):
+        BlockSystem(
+            sysm.A1, sysm.A2, sysm.C1, sysm.C2, sysm.F1, sysm.F2, coords=sysm.coords[1:]
+        )
 
 
 def test_project_p0_nested_average():
