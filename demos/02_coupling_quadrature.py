@@ -2,9 +2,9 @@
 
 The multiplier couples fields living on two unrelated meshes, so the
 assembly needs integrals of background basis functions over immersed
-cells. The background is a uniform axis-aligned grid, so the background
-cells an immersed cell may touch follow from its bounding box by index
-arithmetic, and in the reference coordinates (xi, eta) of one of them the
+cells. The background is a rectangle or square-patch mesh from
+``build_mesh``, on its lattice, so the background cells an immersed cell
+may touch follow from its bounding box by a search of the grid lines, and in the reference coordinates (xi, eta) of one of them the
 cell is the unit square. Every fragment, the immersed cell's part of that
 square, gets its moments M[p, q] = integral of xi^p eta^q (p, q <= 2),
 exactly, by Green's theorem on the immersed cell's own four edges; the

@@ -3,13 +3,14 @@
 The multiplier is one value per immersed cell, numbered as the cells, so
 both pairings have a row per immersed cell. The pairing with the
 background space needs integrals of background basis functions over
-immersed cells. The background mesh must be a uniform axis-aligned grid
-(others are rejected with ValueError), so the background cells an
-immersed cell may overlap follow by index arithmetic from its bounding
-box, and in its own reference coordinates each of them is the unit
-square. Each (immersed, background) candidate pair gets the monomial
-moments of bidegree <= 2 over the immersed cell's part of that square by
-Green's theorem on the immersed cell's own four edges
+immersed cells. The background mesh must be a rectangle or square-patch
+mesh from ``build_mesh``, on its lattice (others are rejected with
+ValueError), so the background cells an immersed cell may overlap follow
+from its bounding box by a search of the grid lines, and in its own
+reference coordinates each of them is the unit square. Each (immersed,
+background) candidate pair gets the monomial moments of bidegree <= 2
+over the immersed cell's part of that square by Green's theorem on the
+immersed cell's own four edges
 (``geometry.square_moments``), batched over fixed blocks of pairs so
 that the kernel's temporaries stay bounded at any level; the pieces
 themselves are never built. A piece whose area, the moment M00, is below
@@ -26,6 +27,7 @@ import scipy.sparse as sp
 
 from . import element as el
 from .geometry import square_moments
+from .mesh import grid_lines
 from .system import cell_integrals
 
 __all__ = [
@@ -43,10 +45,6 @@ _COVERAGE_RTOL = 1e-10
 # relative to the area of the immersed cell: a piece smaller than this is
 # empty up to rounding, or a sliver of a cell that touches a grid line
 SLIVER_RTOL = 1e-12
-# grid tolerance relative to the coordinate scale: refined grids are
-# uniform only up to rounding, and bounding boxes are padded by the same
-# amount so that a cell touched within rounding is still a candidate
-_GRID_RTOL = 1e-9
 # candidate pairs per call of square_moments: its edge, piece and Gauss
 # point temporaries take about 1.5 kB a pair, so one call on all pairs of
 # a 64^2 level (12-13 k) peaks near 19 MB, which the heap keeps resident
@@ -84,49 +82,45 @@ class CouplingTable:
 
 
 def _grid(t):
-    """Origin, spacing, tolerance and (row, col) -> cell table of a grid.
-
-    Raises ValueError unless the cells tile a rectangle in rows and
-    columns of one extent, corners counterclockwise from the lower left.
-    """
-    X = t.nodes[t.cells]
-    lo = X[:, 0]
-    h = (X[:, 2] - lo).mean(axis=0)
-    tol = _GRID_RTOL * (np.abs(X).max() + h.max())
-    if h.min() > 0:
-        origin = lo.min(axis=0)
-        ij = np.rint((lo - origin) / h).astype(np.int64)
-        shape = ij.max(axis=0) + 1
-        ideal = origin + (ij[:, None] + [[0, 0], [1, 0], [1, 1], [0, 1]]) * h
-        if np.abs(X - ideal).max() <= tol and shape.prod() == t.num_cells:
-            index = np.full(shape[::-1], -1)
-            index[ij[:, 1], ij[:, 0]] = np.arange(t.num_cells)
-            if index.min() >= 0:
-                return origin, h, tol, index
-    raise ValueError("background mesh is not a uniform axis-aligned grid")
+    """Grid lines xs, ys and (row, col) -> cell table of a background mesh;
+    ValueError unless the corners of every cell, counterclockwise from the
+    lower left, are exactly those of a box of ``grid_lines``."""
+    if t.spec is not None and t.spec.kind in ("rectangle", "square_patch"):
+        xs, ys = grid_lines(t.spec, t.level)
+        lo = t.nodes[t.cells[:, 0]]
+        col = np.clip(np.searchsorted(xs, lo[:, 0]), 0, xs.size - 2)
+        row = np.clip(np.searchsorted(ys, lo[:, 1]), 0, ys.size - 2)
+        x0, x1, y0, y1 = xs[col], xs[col + 1], ys[row], ys[row + 1]
+        box = np.column_stack([x0, y0, x1, y0, x1, y1, x0, y1]).reshape(-1, 4, 2)
+        index = np.full((ys.size - 1, xs.size - 1), -1)
+        index[row, col] = np.arange(t.num_cells)
+        if index.size == t.num_cells and index.min() >= 0 and np.array_equal(t.nodes[t.cells], box):
+            return xs, ys, index
+    raise ValueError("background mesh is not a uniform axis-aligned grid on its lattice")
 
 
 def build_intersections(t2, t):
     """Moments of every immersed cell's pieces in the background grid.
 
-    The candidates of an immersed cell are the background cells of its
-    padded index box. All (immersed, background) candidate pairs, ordered
-    by immersed cell and then background cell index, map the immersed
-    cell into the reference coordinates
-    (xi, eta) = (x - lower left) / extent of their background cell, where
-    ``square_moments`` integrates xi^p eta^q, p, q <= 2, over its part of
-    the unit square; the moments are scaled back to physical area. The
-    pairs go through the kernel in blocks of ``_BLOCK_ROWS`` rows into one
-    preallocated array; the kernel treats each row on its own, so the
-    result equals that of a single call bit for bit. A
-    piece whose area M00 is below ``SLIVER_RTOL`` times the area of its
-    immersed cell is empty or a sliver, and is dropped.
+    The candidates of an immersed cell are the background cells whose
+    interiors meet its bounding box, found and bounded by the grid lines.
+    All (immersed, background) candidate pairs, ordered by immersed cell
+    and then background cell index, map the immersed cell into the
+    reference coordinates (xi, eta) = (x - lower left) / extent of their
+    background cell, where ``square_moments`` integrates xi^p eta^q,
+    p, q <= 2, over its part of the unit square; the moments are scaled
+    back to physical area. The pairs go through the kernel in blocks of
+    ``_BLOCK_ROWS`` rows into one preallocated array; the kernel treats
+    each row on its own, so the result equals that of a single call bit
+    for bit. A piece whose area M00 is below ``SLIVER_RTOL`` times the
+    area of its immersed cell is empty or a sliver, and is dropped.
 
     Parameters
     ----------
     t2, t : QuadMesh
-        Immersed and background meshes. The background must be a uniform
-        axis-aligned grid that covers every immersed cell.
+        Immersed and background meshes. The background must be a
+        rectangle or square-patch mesh from ``build_mesh``, on its
+        lattice, that covers every immersed cell.
 
     Returns
     -------
@@ -135,16 +129,20 @@ def build_intersections(t2, t):
     Raises
     ------
     ValueError
-        When the background mesh is not a uniform axis-aligned grid.
+        When the background mesh is not a rectangle or square-patch mesh
+        from ``build_mesh``, on its lattice.
     CoverageError
         When the fragment areas of a cell do not sum to the cell area
         within a relative 1e-10, naming the offending cell.
     """
-    origin, h, tol, index = _grid(t)
+    xs, ys, index = _grid(t)
     polys = t2.nodes[t2.cells]
     top = np.array(index.shape[::-1]) - 1
-    first = np.clip(np.floor((polys.min(axis=1) - origin - tol) / h), 0, top).astype(np.int64)
-    last = np.clip(np.floor((polys.max(axis=1) - origin + tol) / h), 0, top).astype(np.int64)
+    # columns and rows met inside: a cell only touched holds no fragment
+    lo, hi = polys.min(axis=1), polys.max(axis=1)
+    first = np.column_stack([np.searchsorted(v, lo[:, a], "right") for a, v in enumerate((xs, ys))])
+    last = np.column_stack([np.searchsorted(v, hi[:, a]) for a, v in enumerate((xs, ys))])
+    first, last = np.clip(first - 1, 0, top), np.clip(last - 1, 0, top)
     span = last - first + 1
     num = span.prod(axis=1)
     cell = np.repeat(np.arange(t2.num_cells), num)
@@ -153,12 +151,13 @@ def build_intersections(t2, t):
     row = first[cell, 1] + k // span[cell, 0]
     bg_cell = index[row, col]
     order = np.lexsort((bg_cell, cell))
-    cell, bg_cell = cell[order], bg_cell[order]
+    cell, bg_cell, col, row = cell[order], bg_cell[order], col[order], row[order]
     moments = np.empty((cell.size, 3, 3))
     for s in range(0, cell.size, _BLOCK_ROWS):
         block = slice(s, s + _BLOCK_ROWS)
-        quads = t.nodes[t.cells[bg_cell[block]]]
-        lo, ext = quads[:, 0], quads[:, 2] - quads[:, 0]
+        c, r = col[block], row[block]
+        lo = np.column_stack([xs[c], ys[r]])
+        ext = np.column_stack([xs[c + 1], ys[r + 1]]) - lo
         ref = (polys[cell[block]] - lo[:, None]) / ext[:, None]
         moments[block] = square_moments(ref) * ext.prod(axis=1)[:, None, None]
     target = np.abs(t2.cell_areas())

@@ -12,6 +12,7 @@ for a flower each node's polar radius is then scaled by
 level-0 mesh, so cell children are nested (children of cell c are
 4c..4c+3) and h halves per level. New boundary-edge midpoints on curved
 domains are projected onto the exact boundary curve, all in one call.
+Rectangle, square-patch and L-shape nodes stay on ``grid_lines``.
 """
 
 from dataclasses import dataclass
@@ -24,11 +25,13 @@ __all__ = [
     "DomainSpec",
     "QuadMesh",
     "build_mesh",
+    "grid_lines",
     "refine_uniform",
     "CellLocator",
 ]
 
 _KINDS = ("rectangle", "square_patch", "lshape", "disk", "flower")
+_LATTICE_KINDS = ("rectangle", "square_patch", "lshape")
 
 
 @dataclass(frozen=True)
@@ -166,50 +169,47 @@ def build_mesh(spec, level=0):
     return m
 
 
-def _check_bounds(spec):
+def grid_lines(spec, level=0):
+    """x and y lines (``np.linspace``) of a rectangle, square-patch or
+    L-shape lattice at a level: every node of ``build_mesh(spec, level)``
+    lies on them, bit for bit. Level k's lines are the even ones of level
+    k + 1 exactly, as halving linspace's spacing is exact."""
+    if spec.kind not in _LATTICE_KINDS:
+        raise ValueError(f"{spec.kind} mesh has no grid lines; valid: {_LATTICE_KINDS}")
     if spec.bounds is None or len(spec.bounds) != 4:
         raise ValueError(f"{spec.kind} needs bounds=(x0, x1, y0, y1)")
     x0, x1, y0, y1 = map(float, spec.bounds)
     if not (x1 > x0 and y1 > y0):
         raise ValueError(f"empty or inverted bounds {spec.bounds}")
-    return x0, x1, y0, y1
+    nx = int(spec.base_cells)
+    # keep cells near-square for non-square boxes
+    ny = nx if spec.kind == "lshape" else max(1, round(nx * (y1 - y0) / (x1 - x0)))
+    k = 2**level
+    return np.linspace(x0, x1, nx * k + 1), np.linspace(y0, y1, ny * k + 1)
 
 
-def _structured(x0, x1, y0, y1, nx, ny):
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.column_stack([X.ravel(), Y.ravel()])
-    ix, iy = np.meshgrid(np.arange(nx), np.arange(ny), indexing="xy")
-    n0 = (iy * (nx + 1) + ix).ravel()
-    cells = np.column_stack([n0, n0 + 1, n0 + nx + 2, n0 + nx + 1])
+def _structured(xs, ys):
+    nodes = np.column_stack([np.tile(xs, ys.size), np.repeat(ys, xs.size)])
+    n0 = (np.arange(ys.size - 1)[:, None] * xs.size + np.arange(xs.size - 1)).ravel()
+    cells = np.column_stack([n0, n0 + 1, n0 + xs.size + 1, n0 + xs.size])
     return nodes, cells
 
 
 def _build_rectangle(spec):
-    x0, x1, y0, y1 = _check_bounds(spec)
-    nx = int(spec.base_cells)
-    # keep cells near-square for non-square boxes
-    ny = max(1, round(nx * (y1 - y0) / (x1 - x0)))
-    nodes, cells = _structured(x0, x1, y0, y1, nx, ny)
+    nodes, cells = _structured(*grid_lines(spec))
     return QuadMesh(nodes, cells, spec=spec, level=0)
 
 
 def _build_lshape(spec):
-    x0, x1, y0, y1 = _check_bounds(spec)
     n = int(spec.base_cells)
     if n % 2 != 0:
         raise ValueError("lshape base_cells must be even")
-    nodes, cells = _structured(x0, x1, y0, y1, n, n)
-    xm = 0.5 * (x0 + x1)
-    ym = 0.5 * (y0 + y1)
-    centers = nodes[cells].mean(axis=1)
-    keep = ~((centers[:, 0] > xm) & (centers[:, 1] > ym))
-    cells = cells[keep]
-    used = np.unique(cells)
-    remap = -np.ones(nodes.shape[0], dtype=np.int64)
-    remap[used] = np.arange(used.size)
-    return QuadMesh(nodes[used], remap[cells], spec=spec, level=0)
+    nodes, cells = _structured(*grid_lines(spec))
+    # drop the cells of the upper-right quarter; cell iy * n + ix is in row iy
+    iy, ix = np.divmod(np.arange(n * n), n)
+    keep = (ix < n // 2) | (iy < n // 2)
+    used, cells = np.unique(cells[keep], return_inverse=True)
+    return QuadMesh(nodes[used], cells.reshape(-1, 4), spec=spec, level=0)
 
 
 def _disk_blocks(cx, cy, r, n):
@@ -247,18 +247,10 @@ def _build_radial(spec):
     pts = _disk_blocks(c[0], c[1], r, n).reshape(-1, 2)
     # merge block nodes by rounded coordinates, numbered by first appearance
     keys = np.rint(pts / (1e-9 * r)).astype(np.int64)
-    # equal keys are neighbours in a stable lexsort, whose first member of
-    # each run is the key's first appearance
-    order = np.lexsort((keys[:, 1], keys[:, 0]))
-    keys = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    first = order[new]
+    _, first, inv = np.unique(keys, axis=0, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
-    ids = np.empty_like(order)
-    ids[order] = rank[np.cumsum(new) - 1]
-    ids = ids.reshape(5, n + 1, n + 1)
+    ids = rank[inv].reshape(5, n + 1, n + 1)
     nodes = pts[np.sort(first)]
     # cell (i, j) of a block joins grid nodes (i, j), (i+1, j), (i+1, j+1), (i, j+1)
     cells = np.stack(
@@ -301,6 +293,12 @@ def refine_uniform(m):
     # and tracks projected boundary midpoints on curved ones
     centers = mids[m.cell_to_edge].mean(axis=1)
     new_nodes = np.vstack([nodes, mids, centers])
+    if m.spec is not None and m.spec.kind in _LATTICE_KINDS:
+        # midpoints and means round off the lattice by an ulp; the coarse
+        # nodes are on it already and keep every bit
+        new = new_nodes[m.num_nodes :]
+        for k, v in enumerate(grid_lines(m.spec, m.level + 1)):
+            new[:, k] = v[np.rint((new[:, k] - v[0]) / (v[1] - v[0])).astype(np.int64)]
     eoff = m.num_nodes
     coff = eoff + m.num_edges
     e01 = eoff + m.cell_to_edge[:, 0]

@@ -375,14 +375,14 @@ def dissection_order(xy, A):
 
     The bounding box is halved along its longer side, D = ceil(log2(n / 8))
     times, which gives every unknown a D-bit box code; a point on a cut goes
-    to the upper side, so no grid line is split. An edge of A belongs to
-    the cut of the first bit where its endpoints' codes differ. From the
-    top cut down, the edges of a cut whose endpoints are both still free
-    are separated by the endpoints on one side, the side with fewer of
-    them in each box (always the lower side filled 1.2 - 2.6x as much as
-    MMD on the examples' levels). Parts come before their separators: the order
-    sorts by the last leaf box of the subtree that each unknown closes,
-    then deeper first.
+    to the upper side, so no grid line of a lattice (``mesh.grid_lines``)
+    is split. An edge of A belongs to the cut of the first bit where its
+    endpoints' codes differ. From the top cut down, the edges of a cut
+    whose endpoints are both still free are separated by the endpoints on
+    one side, the side with fewer of them in each box (always the lower
+    side filled 1.2 - 2.6x as much as MMD on the examples' levels). Parts
+    come before their separators: the order sorts by the last leaf box of
+    the subtree that each unknown closes, then deeper first.
     """
     code, sep, depth = _dissect(xy, A)
     return np.lexsort((-sep, code | ((1 << (depth - sep)) - 1)))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fddlm import problems
 from fddlm.element import cell_points, gauss_square
-from fddlm.mesh import CellLocator, DomainSpec, build_mesh, refine_uniform
+from fddlm.mesh import CellLocator, DomainSpec, build_mesh, grid_lines, refine_uniform
 from fddlm.runner import build_mesh_sequence
 from oracles import CellMap, build_radial_mesh, edge_table, locate
 
@@ -127,6 +127,29 @@ def test_refine_uniform_nesting():
     assert child_sum == pytest.approx(m0.cell_areas(), rel=1e-13)
     # child 4c contains the parent's first vertex
     assert np.array_equal(m1.cells[0::4, 0], m0.cells[:, 0])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [problems.background_spec(3, 8), problems.immersed_spec(1, 8), problems.immersed_spec(2, 8)],
+    ids=["ex3-box", "ex1-square-patch", "ex2-lshape"],
+)
+def test_nodes_stay_on_the_lattice(spec):
+    # a cell centre taken as the mean of four rounded midpoints drifts off
+    # its grid lines by an ulp: 161 distinct x-values on the 129 lines of
+    # the box at 128^2
+    seq = mesh_chain(spec, 5)
+    for level, m in enumerate(seq):
+        for k, lines in enumerate(grid_lines(spec, level)):
+            assert np.setdiff1d(m.nodes[:, k], lines).size == 0
+            assert np.unique(m.nodes[:, k]).size == lines.size
+    for coarse, fine in zip(seq, seq[1:]):
+        assert np.array_equal(fine.nodes[: coarse.num_nodes], coarse.nodes)
+
+
+def test_only_rectangle_like_kinds_have_grid_lines():
+    with pytest.raises(ValueError, match="no grid lines"):
+        grid_lines(DomainSpec("disk"))
 
 
 def test_build_mesh_level_equals_refine_chain():
